@@ -6,19 +6,24 @@ with multiplicities that never exceed the rank:
 * diagonal (nu = mu): the multiplicity counts nonzero Dynkin labels, dropping
   one for the affine zeroth label in the fusion case;
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
-  decided by comparing the labels of mu against the root-string depths of
-  beta.  Dominance of mu and nu already forces mu_i >= max(0, -beta_i), so
-  only the few (beta, i) with depth exceeding that bound ever decide anything;
-  those are the "nontrivial conditions" tabulated per family below.
+  and it is 1 exactly when mu-hat lies label by label above the minimal affine
+  weight of beta, one row per root in `rule_table`.  The tensor product is the
+  same rule without the zeroth label.  Dominance of mu and nu already forces
+  mu_i >= max(0, -beta_i), so only the few (beta, i) with root-string depth
+  exceeding that bound ever decide anything; those are the "nontrivial
+  conditions" tabulated per family below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, ge
+from types import MappingProxyType
+from typing import Mapping
 
-from .algebra import AlgebraId, Root, RootSystem, build
-from .errors import LevelMismatch, LevelTooSmall
+from .algebra import AlgebraId, RootSystem, build
+from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
 from .weights import AffineWeight, Weight, nonzero_affine_labels
 
 
@@ -55,148 +60,100 @@ class NontrivialCondition:
     threshold_minus: int
 
 
-def _check_dominant(lam: Weight, what: str) -> None:
+def _check_dominant(lam: Weight, size: int, what: str) -> None:
+    if len(lam) != size:
+        raise AlgebraMismatch(f"{what} {lam} needs {size} labels")
     if any(x < 0 for x in lam):
         raise ValueError(f"{what} {lam} is not dominant")
 
 
+def _check_affine(rs: RootSystem, mu: AffineWeight, what: str) -> None:
+    if mu.level < 2:
+        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
+    _check_dominant(mu.labels, rs.rank + 1, what)
+    if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
+        raise LevelMismatch(f"{what} {mu.labels} does not lie at level {mu.level}")
+
+
+@lru_cache(maxsize=None)
+def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
+    """The off-diagonal rule: Dynkin labels of each root beta -> its minimal
+    affine weight (t_0; t_1, ..., t_r).
+
+    theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
+    label by label, with t_0 = max(0, (theta, beta)) and
+    t_i = max(0, -beta_i, d_i(beta)).  The t_i >= -beta_i part is dominance of
+    mu + beta, t_0 is its zeroth label staying >= 0; the tensor product drops
+    t_0.  Rows follow the order of ``rs.roots``.
+    """
+    rs = build(algebra)
+    table: dict[Weight, tuple[int, ...]] = {}
+    for beta in rs.roots:
+        t0 = max(0, rs.theta_pairing(beta.labels))
+        table[beta.labels] = (t0,) + tuple(
+            max(0, -beta.labels[i], rs.string_depth(beta, i)) for i in range(rs.rank)
+        )
+    return MappingProxyType(table)
+
+
 def diag_tensor(rs: RootSystem, mu: Weight) -> int:
     """Multiplicity of mu itself inside theta (x) mu."""
-    _check_dominant(mu, "weight")
+    _check_dominant(mu, rs.rank, "weight")
     return sum(1 for x in mu if x != 0)
 
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
-    if mu.level < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
-    _check_dominant(mu.labels, "affine weight")
+    _check_affine(rs, mu, "affine weight")
     return nonzero_affine_labels(mu) - 1
 
 
 def offdiag_tensor(rs: RootSystem, mu: Weight, nu: Weight) -> int:
     """Multiplicity of nu != mu inside theta (x) mu (0 or 1)."""
-    _check_dominant(mu, "weight")
-    _check_dominant(nu, "target")
-    diff = tuple(a - b for a, b in zip(nu, mu))
-    beta = rs.root_from_labels(diff)
-    if beta is None:
+    _check_dominant(mu, rs.rank, "weight")
+    _check_dominant(nu, rs.rank, "target")
+    floor = rule_table(rs.algebra).get(tuple(a - b for a, b in zip(nu, mu)))
+    if floor is None:
         return 0
-    hit = all(mu[i] >= rs.string_depth(beta, i) for i in range(rs.rank))
-    if __debug__:
-        # same answer from the endpoint form of the string conditions
-        if all(c >= 0 for c in beta.coords):
-            blocked = any(
-                _shift_is_positive_root(rs, beta, i, mu[i] + 1) for i in range(rs.rank)
-            )
-        else:
-            blocked = any(
-                _shift_is_negative_root(rs, beta, i, nu[i] + 1) for i in range(rs.rank)
-            )
-        assert hit == (not blocked), (mu, nu, beta)
-    return int(hit)
-
-
-def _shift_is_positive_root(rs: RootSystem, beta: Root, i: int, steps: int) -> bool:
-    coords = list(beta.coords)
-    coords[i] += steps
-    return rs.is_root(tuple(coords)) and all(c >= 0 for c in coords)
-
-
-def _shift_is_negative_root(rs: RootSystem, beta: Root, i: int, steps: int) -> bool:
-    coords = list(beta.coords)
-    coords[i] -= steps
-    return rs.is_root(tuple(coords)) and all(c <= 0 for c in coords)
-
-
-def offdiag_fast(rs: RootSystem, mu: Weight, nu: Weight) -> int:
-    """Same as offdiag_tensor but consulting only the nontrivial conditions."""
-    diff = tuple(a - b for a, b in zip(nu, mu))
-    beta = rs.root_from_labels(diff)
-    if beta is None:
-        return 0
-    cond = _condition_map(rs.algebra).get(beta.coords)
-    if cond is not None:
-        i, threshold = cond
-        if mu[i] < threshold:
-            return 0
-    return 1
+    return int(all(map(ge, mu, floor[1:])))
 
 
 def offdiag_fusion(rs: RootSystem, mu: AffineWeight, nu: AffineWeight) -> int:
-    """Multiplicity of nu != mu in the level-k fusion theta (x) mu.
-
-    Equals the tensor coefficient for dominant pairs: the extra affine
-    condition mu_0 >= (theta, beta) is already forced by nu_0 >= 0.  The
-    debug build re-checks that claim against the full affine-reflection form.
-    """
+    """Multiplicity of nu != mu in the level-k fusion theta (x) mu (0 or 1)."""
     if mu.level != nu.level:
         raise LevelMismatch(f"levels differ: {mu.level} != {nu.level}")
-    if mu.level < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
-    _check_dominant(mu.labels, "affine weight")
-    _check_dominant(nu.labels, "affine target")
-    c = offdiag_tensor(rs, mu.finite, nu.finite)
-    if __debug__:
-        assert c == _offdiag_affine_full(rs, mu, nu), (mu, nu)
-    return c
-
-
-def _offdiag_affine_full(rs: RootSystem, mu: AffineWeight, nu: AffineWeight) -> int:
-    # raw form: nu - r_i . mu must avoid the roots and zero for every affine i
-    diff = tuple(a - b for a, b in zip(nu.finite, mu.finite))
-    if rs.root_from_labels(diff) is None:
+    _check_affine(rs, mu, "affine weight")
+    _check_affine(rs, nu, "affine target")
+    floor = rule_table(rs.algebra).get(tuple(a - b for a, b in zip(nu.finite, mu.finite)))
+    if floor is None:
         return 0
-    zero = (0,) * rs.rank
-    for i in range(rs.rank):
-        ref = rs.shifted_reflect(mu.finite, i)
-        rel = tuple(a - b for a, b in zip(nu.finite, ref))
-        if rel == zero or rs.root_from_labels(rel) is not None:
-            return 0
-    # i = 0: r_0 . mu = mu + (mu_0 + 1) theta
-    c0 = mu.labels[0] + 1
-    theta = rs.highest_root.labels
-    ref0 = tuple(x + c0 * t for x, t in zip(mu.finite, theta))
-    rel0 = tuple(a - b for a, b in zip(nu.finite, ref0))
-    if rel0 == zero or rs.root_from_labels(rel0) is not None:
-        return 0
-    return 1
+    return int(all(map(ge, mu.labels, floor)))
 
 
 def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu as a tensor product."""
-    _check_dominant(mu, "weight")
     entries: dict[Weight, int] = {}
     d = diag_tensor(rs, mu)
     if d:
         entries[tuple(mu)] = d
-    for beta in rs.roots:
-        nu = tuple(a + b for a, b in zip(mu, beta.labels))
-        if any(x < 0 for x in nu):
-            continue
-        if offdiag_tensor(rs, mu, nu):
-            entries[nu] = 1
+    for beta, floor in rule_table(rs.algebra).items():
+        # the tensor product has no zeroth label: skip t_0
+        if all(map(ge, mu, floor[1:])):
+            entries[tuple(map(add, mu, beta))] = 1
     return FusionDecomposition(rs.algebra, None, entries)
 
 
 def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu in the level-k fusion ring."""
-    if mu.level < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
-    _check_dominant(mu.labels, "affine weight")
-    k = mu.level
     entries: dict[Weight, int] = {}
     d = diag_fusion(rs, mu)
     if d:
         entries[mu.finite] = d
-    for beta in rs.roots:
-        nu = tuple(a + b for a, b in zip(mu.finite, beta.labels))
-        if any(x < 0 for x in nu) or rs.theta_pairing(nu) > k:
-            continue
-        nu_aff = AffineWeight(k, (k - rs.theta_pairing(nu),) + nu)
-        if offdiag_fusion(rs, mu, nu_aff):
-            entries[nu] = 1
-    return FusionDecomposition(rs.algebra, k, entries)
+    labels, finite = mu.labels, mu.finite
+    for beta, floor in rule_table(rs.algebra).items():
+        if all(map(ge, labels, floor)):
+            entries[tuple(map(add, finite, beta))] = 1
+    return FusionDecomposition(rs.algebra, mu.level, entries)
 
 
 # --- nontrivial conditions ---------------------------------------------
@@ -253,17 +210,6 @@ def reference_nontrivial_conditions(algebra: AlgebraId) -> tuple[NontrivialCondi
     return tuple(sorted(out, key=lambda c: (c.root, c.index)))
 
 
-@lru_cache(maxsize=None)
-def _condition_map(algebra: AlgebraId) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Signed root coords -> (index, threshold) for the fast off-diagonal path."""
-    rs = build(algebra)
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for cond in nontrivial_conditions(rs):
-        table[cond.root] = (cond.index, cond.threshold_plus)
-        table[tuple(-c for c in cond.root)] = (cond.index, cond.threshold_minus)
-    return table
-
-
 # --- worked tables for the rank-2 and rank-4 exceptional algebras --------
 
 # One row per root beta of G2: simple-root coordinates, the minimal affine
@@ -289,19 +235,15 @@ G2_OFFDIAG_TABLE: tuple[tuple[tuple[int, int], tuple[int, int, int], int | None,
 def g2_offdiag_row(
     rs: RootSystem, coords: tuple[int, int]
 ) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
-    """Recompute one G2 table row from the root-string data."""
+    """Recompute one G2 table row from the rule table that `decompose` reads."""
     beta = rs.root_at(coords)
-    pairing = rs.theta_pairing(beta.labels)
-    t0 = max(0, pairing)
-    thresholds = tuple(
-        max(0, -beta.labels[i], rs.string_depth(beta, i)) for i in range(2)
-    )
+    floor = rule_table(rs.algebra)[beta.labels]
     star = None
     for i in range(2):
-        if rs.string_depth(beta, i) > max(0, -beta.labels[i]):
+        if floor[1 + i] > max(0, -beta.labels[i]):
             star = i
-    delta = (-pairing,) + beta.labels
-    return (t0,) + thresholds, star, delta
+    delta = (-rs.theta_pairing(beta.labels),) + beta.labels
+    return floor, star, delta
 
 
 # The six F4 roots with a condition beyond dominance, shown with both ends of

@@ -119,7 +119,8 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
                 # d_i A_ij = d_j A_ji
                 d[j] = d[i] * cartan[j][i] / cartan[i][j]
                 stack.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram must be connected"
+    if any(x is None for x in d):
+        raise RuntimeError("Dynkin diagram must be connected")
     top = max(d)  # type: ignore[type-var]
     return tuple(x / top for x in d)  # type: ignore[union-attr]
 
@@ -257,17 +258,17 @@ class RootSystem:
         self._labels_map = {b.labels: b for b in self.roots}
 
         top = max(self.positive_roots, key=lambda b: b.height)
-        assert sum(1 for b in self.positive_roots if b.height == top.height) == 1
+        if sum(1 for b in self.positive_roots if b.height == top.height) != 1:
+            raise RuntimeError(f"{algebra}: highest root is not unique")
         self.highest_root = top
         self.marks = top.coords
         comarks = tuple(self.symmetrizer[i] * top.coords[i] for i in range(self.rank))
-        assert all(c.denominator == 1 for c in comarks)
+        if any(c.denominator != 1 for c in comarks):
+            raise RuntimeError(f"{algebra}: comarks {comarks} are not integers")
         self.comarks = tuple(int(c) for c in comarks)
         self.affine_comarks = (1,) + self.comarks
         self.dual_coxeter = 1 + sum(self.comarks)
         self.weyl_vector = (1,) * self.rank
-
-        self._depth_cache: dict[tuple[tuple[int, ...], int], int] = {}
 
     # --- bilinear form -------------------------------------------------
 
@@ -338,10 +339,6 @@ class RootSystem:
         not itself a root, so membership is scanned over the whole window
         rather than stopping at the first gap.
         """
-        key = (beta.coords, i)
-        hit = self._depth_cache.get(key)
-        if hit is not None:
-            return hit
         if beta.coords not in self._coords_set:
             raise NotARoot(f"{beta.coords} is not a root of {self.algebra}")
         depth = 0
@@ -350,7 +347,6 @@ class RootSystem:
             shifted[i] += 1
             if tuple(shifted) in self._coords_set:
                 depth = u
-        self._depth_cache[key] = depth
         return depth
 
     def string_height(self, beta: Root, i: int) -> int:
@@ -378,12 +374,13 @@ _POSITIVE_COUNTS = {
 @lru_cache(maxsize=None)
 def _build(algebra: AlgebraId) -> RootSystem:
     rs = RootSystem(algebra)
-    assert len(rs.positive_roots) == _POSITIVE_COUNTS[algebra.family](algebra.rank)
+    if len(rs.positive_roots) != _POSITIVE_COUNTS[algebra.family](algebra.rank):
+        raise RuntimeError(f"{algebra}: wrong number of positive roots")
     th = rs.highest_root.labels
-    assert rs.inner_product(th, th) == 2
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            assert rs.quadratic_form[i][j] == rs.quadratic_form[j][i]
+    if rs.inner_product(th, th) != 2:
+        raise RuntimeError(f"{algebra}: highest root does not have length 2")
+    if rs.quadratic_form != tuple(zip(*rs.quadratic_form)):
+        raise RuntimeError(f"{algebra}: quadratic form is not symmetric")
     return rs
 
 

@@ -92,14 +92,16 @@ class PiecewisePolynomial:
     def evaluate_raw(self, level: int) -> int:
         j, t = divmod(level, self.period)
         value = _poly_eval(self.branches[t], j)
-        assert value.denominator == 1, (self.name, level, value)
+        if value.denominator != 1:
+            raise RuntimeError(f"{self.name} at level {level} is {value}, not an integer")
         return int(value)
 
     def evaluate(self, level: int) -> int:
         if level < self.min_level:
             raise LevelTooSmall(f"{self.name} needs level >= {self.min_level}, got {level}")
         value = self.evaluate_raw(level)
-        assert value >= 0, (self.name, level, value)
+        if value < 0:
+            raise RuntimeError(f"{self.name} at level {level} is negative: {value}")
         return value
 
 
@@ -233,28 +235,24 @@ def polytope_sums(rs: RootSystem, level: int, fix_first: int | None = None) -> t
     fix_first pins the zeroth label (used to split the polytope into slices;
     the slices must add back up to the whole).
     """
-    comarks = rs.affine_comarks
-    n = rs.rank + 1
-
-    @lru_cache(maxsize=None)
-    def tail(i: int, budget: int) -> tuple[int, int]:
-        if i == n:
-            return (1, 0) if budget == 0 else (0, 0)
-        m = comarks[i]
-        count = 0
-        nzsum = 0
-        for x in range(budget // m + 1):
-            c, s = tail(i + 1, budget - m * x)
-            count += c
-            nzsum += s + (c if x else 0)
-        return count, nzsum
-
-    if fix_first is not None:
-        if fix_first < 0 or fix_first > level:
-            return 0, 0
-        c, s = tail(1, level - fix_first)
-        return c, s + (c if fix_first else 0)
-    return tail(0, level)
+    budget = level if fix_first is None else level - fix_first
+    if budget < 0 or (fix_first is not None and fix_first < 0):
+        return 0, 0
+    # count[b], nzsum[b]: points of the trailing nodes whose comark-weighted
+    # labels sum to b, and their total of nonzero labels.  Prepending a node
+    # with comark m: a point at b with x >= 1 there is the point at b - m with
+    # x - 1 there, and gains a nonzero label exactly when that x - 1 is 0.
+    count = [1] + [0] * budget
+    nzsum = [0] * (budget + 1)
+    for m in reversed(rs.affine_comarks[0 if fix_first is None else 1:]):
+        new_count = count[:]
+        new_nzsum = nzsum[:]
+        for b in range(m, budget + 1):
+            new_count[b] += new_count[b - m]
+            new_nzsum[b] += new_nzsum[b - m] + count[b - m]
+        count, nzsum = new_count, new_nzsum
+    c, s = count[budget], nzsum[budget]
+    return c, s + (c if fix_first else 0)
 
 
 def zero_tadpole_enum(rs: RootSystem, level: int) -> int:
@@ -283,6 +281,8 @@ def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
     from .oracle import kac_walton_fusion
 
+    if level < 2:
+        raise LevelTooSmall(f"adjoint tadpole needs level >= 2, got {level}")
     total = 0
     for mu in enumerate_level(rs, level):
         total += kac_walton_fusion(rs, mu).get(mu.finite, 0)

@@ -4,7 +4,6 @@ regenerated ones.  Used by the CLI `verify` command and the test suite."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import tadpole
@@ -154,6 +153,9 @@ def run_verify(
     if "tables" in suites:
         specs.append(("tables",))
     if threads > 1:
+        # imported here: multiprocessing costs every CLI call start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_task, specs))
     else:

@@ -6,6 +6,7 @@ import pytest
 from fusionkit import (
     AffineWeight,
     AlgebraId,
+    AlgebraMismatch,
     F4_STRING_TABLE,
     G2_OFFDIAG_TABLE,
     LevelMismatch,
@@ -16,8 +17,8 @@ from fusionkit import (
     decompose_tensor,
     diag_fusion,
     diag_tensor,
+    enumerate_level,
     nontrivial_conditions,
-    offdiag_fast,
     offdiag_fusion,
     offdiag_tensor,
     racah_speiser_tensor,
@@ -25,6 +26,7 @@ from fusionkit import (
 )
 from fusionkit.adjoint_rules import f4_string_row, g2_offdiag_row
 from fusionkit.verify import algebras_up_to
+from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, offdiag_endpoint
 
 
 def test_diag_tensor_counts_nonzero_labels():
@@ -99,6 +101,12 @@ def test_offdiag_errors():
         offdiag_tensor(rs, (-1, 0), (1, 0))
     with pytest.raises(ValueError):
         decompose_tensor(rs, (0, -2))
+    with pytest.raises(AlgebraMismatch):
+        decompose_tensor(rs, (1,))
+    with pytest.raises(AlgebraMismatch):
+        decompose(rs, AffineWeight(3, (1, 1, 1, 0)))
+    with pytest.raises(LevelMismatch):
+        decompose(rs, AffineWeight(2, (5, 0, 0)))
 
 
 SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
@@ -106,8 +114,8 @@ SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
 
 @pytest.mark.parametrize("name", SAMPLED)
 def test_offdiag_fast_path_agrees(name):
-    # offdiag_tensor re-derives every string condition; the fast path consults
-    # only the tabulated nontrivial ones.  They must agree on dominant pairs.
+    # offdiag_tensor reads the rule table; the condition map consults only the
+    # tabulated nontrivial conditions.  They must agree on dominant pairs.
     rs = build(name)
     rng = random.Random(f"fast:{name}")
     weights = [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(40)]
@@ -117,7 +125,7 @@ def test_offdiag_fast_path_agrees(name):
             nu = tuple(a + b for a, b in zip(mu, beta.labels))
             if any(x < 0 for x in nu):
                 continue
-            assert offdiag_fast(rs, mu, nu) == offdiag_tensor(rs, mu, nu)
+            assert offdiag_conditions(rs, mu, nu) == offdiag_tensor(rs, mu, nu)
             checked += 1
     assert checked > 100
 
@@ -138,11 +146,8 @@ def test_offdiag_tensor_agrees_with_folding(name):
 
 @pytest.mark.parametrize("name,max_level", [("A2", 5), ("B3", 5), ("C2", 6), ("G2", 5), ("A1", 6)])
 def test_offdiag_fusion_equals_tensor_on_dominant_pairs(name, max_level):
-    # the affine clause is redundant once both weights are dominant at level k;
-    # offdiag_fusion also re-checks the full affine-reflection form internally
+    # the affine clause is redundant once both weights are dominant at level k
     rs = build(name)
-    from fusionkit import enumerate_level
-
     for level in range(2, max_level + 1):
         for mu in enumerate_level(rs, level):
             for beta in rs.roots:
@@ -151,6 +156,33 @@ def test_offdiag_fusion_equals_tensor_on_dominant_pairs(name, max_level):
                     continue
                 nu_aff = affinize(rs, nu, level)
                 assert offdiag_fusion(rs, mu, nu_aff) == offdiag_tensor(rs, mu.finite, nu)
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(4), ids=str)
+def test_reference_encodings_agree_with_rule_table(algebra):
+    # every weight of every level grid, every root: the rule table behind
+    # decompose / decompose_tensor against the three test-side encodings
+    rs = build(algebra)
+    compared = 0
+    for level in range(2, 7):
+        for mu in enumerate_level(rs, level):
+            fused = decompose(rs, mu).entries
+            tensored = decompose_tensor(rs, mu.finite).entries
+            for beta in rs.roots:
+                nu = tuple(a + b for a, b in zip(mu.finite, beta.labels))
+                if any(x < 0 for x in nu):
+                    assert nu not in fused and nu not in tensored
+                    continue
+                want = offdiag_endpoint(rs, mu.finite, nu)
+                assert offdiag_conditions(rs, mu.finite, nu) == want, (mu, nu)
+                assert tensored.get(nu, 0) == want, (mu, nu)
+                if rs.theta_pairing(nu) > level:
+                    assert nu not in fused
+                    continue
+                assert offdiag_affine_reflection(rs, mu, affinize(rs, nu, level)) == want, (mu, nu)
+                assert fused.get(nu, 0) == want, (mu, nu)
+                compared += 1
+    assert compared > 0
 
 
 def test_nontrivial_conditions_match_reference_everywhere():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,10 @@ def test_level_errors(capsys):
     assert rc == 3 and "error:" in err
     rc, _, err = run(capsys, "tadpole", "A2", "--level", "1")
     assert rc == 3
+    for method in ("formula", "enum", "oracle", "all"):
+        rc, out, err = run(capsys, "tadpole", "A2", "--level", "-1", "--method", method)
+        assert (rc, out) == (3, ""), method
+        assert "error:" in err
 
 
 def test_tadpole_value(capsys):
@@ -172,6 +180,16 @@ def test_verify_json(capsys):
     assert rc == 0
     assert record["ok"] is True
     assert record["mismatches"] == []
+
+
+def test_import_leaves_process_pool_unloaded():
+    # multiprocessing is only needed by pooled verify runs
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, fusionkit.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_threads_env(capsys, monkeypatch):

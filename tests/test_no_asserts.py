@@ -1,0 +1,37 @@
+"""Running under `python -O` must not change an answer: no guard in the
+package may be an `assert` or hang off `__debug__`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fusionkit
+
+PACKAGE = Path(fusionkit.__file__).resolve().parent
+
+
+def test_package_has_no_assert_or_debug_branch():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_non_integral_polynomial_raises_under_optimize():
+    code = (
+        "from fractions import Fraction\n"
+        "from fusionkit import PiecewisePolynomial\n"
+        "p = PiecewisePolynomial('half', 1, ((Fraction(1, 2),),), 0)\n"
+        "try:\n"
+        "    p.evaluate_raw(3)\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

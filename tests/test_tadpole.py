@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import comb
 
@@ -122,6 +123,18 @@ def test_polytope_slices_add_up(name, level):
     assert polytope_sums(rs, level, fix_first=level + 1) == (0, 0)
 
 
+def test_polytope_sums_leaves_no_garbage():
+    rs = build("B3")
+    gc.collect()
+    gc.disable()
+    try:
+        polytope_sums(rs, 9)
+        polytope_sums(rs, 9, fix_first=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_sum_split():
     for name in ("A2", "B3", "G2"):
         rs = build(name)
@@ -140,6 +153,8 @@ def test_level_gates():
     rs = build("A2")
     with pytest.raises(LevelTooSmall):
         adjoint_tadpole_enum(rs, 1)
+    with pytest.raises(LevelTooSmall):
+        adjoint_tadpole_oracle(rs, -1)
     with pytest.raises(LevelTooSmall):
         zero_tadpole_enum(rs, -1)
     assert zero_tadpole_enum(rs, 0) == 1
