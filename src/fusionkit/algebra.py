@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import AlgebraMismatch, InvalidRank, NotARoot
 
@@ -141,76 +142,41 @@ def _invert(matrix: tuple[tuple[int, ...], ...]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _roots_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
-    """All roots, generated by reflecting the simple roots."""
+def _string_below(found: dict, gamma: tuple[int, ...], j: int) -> int:
+    """How many times alpha_j can be taken off gamma, staying among `found`."""
+    n = 0
+    while n < gamma[j] and gamma[:j] + (gamma[j] - n - 1,) + gamma[j + 1 :] in found:
+        n += 1
+    return n
+
+
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Positive roots, built height by height from the simple roots.
+
+    Maps the coordinates of each positive root beta to (labels, p), where p_i
+    is the length of the alpha_i-string below beta.  That string runs from
+    beta - p_i alpha_i to beta + (p_i - beta_i) alpha_i, so beta + alpha_i is a
+    root exactly when p_i > beta_i, and its labels are those of beta plus row i
+    of the Cartan matrix.  p_i(alpha_i) = 2: that string passes through 0 to
+    -alpha_i.  Above height 1 the strings below a root are positive and
+    unbroken, so p is read off the lower layers; no p exceeds 3.
+    """
     r = len(cartan)
-    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    found: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        labels = [sum(beta[j] * cartan[j][i] for j in range(r)) for i in range(r)]
-        for i in range(r):
-            image = list(beta)
-            image[i] -= labels[i]
-            image_t = tuple(image)
-            if image_t not in found:
-                found.add(image_t)
-                frontier.append(image_t)
+    layer = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    found = {alpha: (cartan[i], tuple(2 * x for x in alpha)) for i, alpha in enumerate(layer)}
+    while layer:
+        above = []
+        for beta in layer:
+            labels, below = found[beta]
+            for i in range(r):
+                if below[i] > labels[i] and (gamma := beta[:i] + (beta[i] + 1,) + beta[i + 1 :]) not in found:
+                    p = tuple(_string_below(found, gamma, j) for j in range(r))
+                    if max(p) > 3:
+                        raise RuntimeError(f"alpha-string below {gamma} is longer than a root string can be")
+                    found[gamma] = (tuple(map(add, labels, cartan[i])), p)
+                    above.append(gamma)
+        layer = above
     return found
-
-
-def _bcd_positive_coords(family: str, r: int) -> set[tuple[int, ...]]:
-    """Positive roots of B_r / C_r / D_r from the orthonormal-basis families."""
-
-    def vec(pairs: dict[int, int]) -> tuple[int, ...]:
-        out = [0] * r
-        for idx, val in pairs.items():
-            out[idx] = val
-        return tuple(out)
-
-    roots: set[tuple[int, ...]] = set()
-    if family == "B":
-        for m in range(r):
-            # e_m = a_m + ... + a_{r-1}
-            roots.add(vec({i: 1 for i in range(m, r)}))
-            for n in range(m + 1, r):
-                roots.add(vec({i: 1 for i in range(m, n)}))  # e_m - e_n
-                coords = {i: 1 for i in range(m, n)}
-                for i in range(n, r):
-                    coords[i] = 2
-                roots.add(vec(coords))  # e_m + e_n
-    elif family == "C":
-        for m in range(r):
-            coords = {i: 2 for i in range(m, r - 1)}
-            coords[r - 1] = 1
-            roots.add(vec(coords))  # 2 e_m
-            for n in range(m + 1, r):
-                roots.add(vec({i: 1 for i in range(m, n)}))  # e_m - e_n
-                coords = {i: 1 for i in range(m, n)}
-                for i in range(n, r - 1):
-                    coords[i] = 2
-                coords[r - 1] = 1
-                roots.add(vec(coords))  # e_m + e_n
-    elif family == "D":
-        for m in range(r):
-            for n in range(m + 1, r):
-                roots.add(vec({i: 1 for i in range(m, n)}))  # e_m - e_n
-            # e_m + e_{r-1}: route through the second fork node
-            coords = {i: 1 for i in range(m, r - 2)}
-            coords[r - 1] = 1
-            roots.add(vec(coords))
-            for n in range(m + 1, r - 1):
-                coords = {i: 1 for i in range(m, n)}
-                for i in range(n, r - 2):
-                    coords[i] = 2
-                coords[r - 2] = 1
-                coords[r - 1] = 1
-                roots.add(vec(coords))  # e_m + e_n, n <= r-2
-    else:
-        raise InvalidRank(f"no coordinate families for {family!r}")
-    roots.discard(tuple([0] * r))
-    return roots
 
 
 @dataclass(frozen=True)
@@ -246,15 +212,12 @@ class RootSystem:
             tuple(self.symmetrizer[i] * inv[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
 
-        if algebra.family in "BCD":
-            coords = _bcd_positive_coords(algebra.family, self.rank)
-        else:
-            all_coords = _roots_by_closure(self.cartan)
-            coords = {c for c in all_coords if all(x >= 0 for x in c)}
-        positives = sorted(coords)
-        self.positive_roots = tuple(Root(c, self.labels_of(c)) for c in positives)
+        found = _positive_roots(self.cartan)
+        self.positive_roots = tuple(Root(c, found[c][0]) for c in sorted(found))
         self.roots = self.positive_roots + tuple(-b for b in self.positive_roots)
-        self._coords_set = {b.coords for b in self.roots}
+        # depth vectors of both signs: d(beta) = p(beta) - labels(beta), d(-beta) = p(beta)
+        self._depths = {b.coords: tuple(map(sub, found[b.coords][1], b.labels)) for b in self.positive_roots}
+        self._depths.update((tuple(-c for c in coords), below) for coords, (_, below) in found.items())
         self._labels_map = {b.labels: b for b in self.roots}
 
         top = max(self.positive_roots, key=lambda b: b.height)
@@ -299,10 +262,10 @@ class RootSystem:
         )
 
     def is_root(self, coords: tuple[int, ...]) -> bool:
-        return coords in self._coords_set
+        return coords in self._depths
 
     def root_at(self, coords: tuple[int, ...]) -> Root:
-        if coords not in self._coords_set:
+        if coords not in self._depths:
             raise NotARoot(f"{coords} is not a root of {self.algebra}")
         return Root(coords, self.labels_of(coords))
 
@@ -332,31 +295,21 @@ class RootSystem:
 
     # --- root strings ----------------------------------------------------
 
-    def string_depth(self, beta: Root, i: int) -> int:
-        """Largest u with beta + u alpha_i a root (u in 0..4 by theory).
-
-        Chains through alpha_i can pass through 0 (beta = -alpha_i), which is
-        not itself a root, so membership is scanned over the whole window
-        rather than stopping at the first gap.
-        """
-        if beta.coords not in self._coords_set:
+    def depth_weight(self, beta: Root) -> tuple[int, ...]:
+        """(d_0(beta), ..., d_{r-1}(beta)): d_i is the largest u with beta + u alpha_i a root."""
+        depths = self._depths.get(beta.coords)
+        if depths is None:
             raise NotARoot(f"{beta.coords} is not a root of {self.algebra}")
-        depth = 0
-        shifted = list(beta.coords)
-        for u in range(1, 5):
-            shifted[i] += 1
-            if tuple(shifted) in self._coords_set:
-                depth = u
-        return depth
+        return depths
+
+    def string_depth(self, beta: Root, i: int) -> int:
+        """Largest u with beta + u alpha_i a root."""
+        return self.depth_weight(beta)[i]
 
     def string_height(self, beta: Root, i: int) -> int:
         """Largest u with beta - u alpha_i a root."""
         # h - d = beta_i along the alpha_i string
         return self.string_depth(beta, i) + beta.labels[i]
-
-    def depth_weight(self, beta: Root) -> tuple[int, ...]:
-        """(d_0(beta), ..., d_{r-1}(beta)) over all simple directions."""
-        return tuple(self.string_depth(beta, i) for i in range(self.rank))
 
 
 # positive-root counts, used as a build-time sanity check

@@ -239,10 +239,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _threads_from_env() -> int:
+    """FUSIONKIT_THREADS as a worker count: an integer >= 1, capped at the CPU count."""
+    text = os.environ.get("FUSIONKIT_THREADS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"FUSIONKIT_THREADS must be an integer >= 1, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-    threads = int(os.environ.get("FUSIONKIT_THREADS", "1"))
-    report = run_verify(args.max_rank, args.max_level, suites, threads)
+    report = run_verify(args.max_rank, args.max_level, suites, _threads_from_env())
     if args.json:
         _emit(args, {
             "command": "verify",

@@ -36,7 +36,7 @@ def finite_fold(rs: RootSystem, x: Weight) -> tuple[int, Weight | None]:
             return 0, None
         x = rs.reflect(x, worst)
         sign = -sign
-    raise AssertionError(f"folding did not terminate for {x}")
+    raise RuntimeError(f"folding did not terminate for {x}")
 
 
 def affine_fold(rs: RootSystem, x: Weight, level: int) -> tuple[int, Weight | None]:
@@ -61,7 +61,7 @@ def affine_fold(rs: RootSystem, x: Weight, level: int) -> tuple[int, Weight | No
             sign = -sign
             continue
         return sign, x
-    raise AssertionError(f"affine folding did not terminate for {x}")
+    raise RuntimeError(f"affine folding did not terminate for {x}")
 
 
 def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:

@@ -17,7 +17,7 @@ from .adjoint_rules import (
     reference_nontrivial_conditions,
 )
 from .algebra import RANK_BOUNDS, AlgebraId, build
-from .errors import NoClosedForm
+from .errors import LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .weights import enumerate_level
 
@@ -143,7 +143,16 @@ def run_verify(
     suites: tuple[str, ...] = ALL_SUITES,
     threads: int = 1,
 ) -> VerifyReport:
-    """Run the selected suites; mismatch messages come back in task order."""
+    """Run the selected suites; mismatch messages come back in task order.
+
+    A selected suite that would compare nothing raises instead of passing.
+    """
+    if max_rank < 1:
+        raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
+    if "rules" in suites and max_level < 2:
+        raise LevelTooSmall(f"the rules suite needs max_level >= 2, got {max_level}")
+    if "tadpole" in suites and max_level < 0:
+        raise LevelTooSmall(f"the tadpole suite needs max_level >= 0, got {max_level}")
     algebras = algebras_up_to(max_rank)
     specs: list[tuple] = []
     if "rules" in suites:

@@ -1,0 +1,47 @@
+"""A second route to the roots and their alpha-strings, kept as a cross-check
+of the layered generator in `fusionkit.algebra`.
+
+Roots come from closing the simple roots under the simple reflections; string
+depths come from scanning beta + u alpha_i for u = 1..4 against that set.
+"""
+
+
+def roots_by_closure(cartan):
+    """All roots, generated by reflecting the simple roots."""
+    r = len(cartan)
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        labels = [sum(beta[j] * cartan[j][i] for j in range(r)) for i in range(r)]
+        for i in range(r):
+            image = list(beta)
+            image[i] -= labels[i]
+            image_t = tuple(image)
+            if image_t not in found:
+                found.add(image_t)
+                frontier.append(image_t)
+    return found
+
+
+def labels_of(cartan, coords):
+    """Dynkin labels of sum_j coords[j] * alpha_j: column sums of the Cartan matrix."""
+    r = len(cartan)
+    return tuple(sum(coords[j] * cartan[j][i] for j in range(r)) for i in range(r))
+
+
+def string_depth(coords_set, coords, i):
+    """Largest u with beta + u alpha_i a root (u in 0..4 by theory).
+
+    Chains through alpha_i can pass through 0 (beta = -alpha_i), which is not
+    itself a root, so membership is scanned over the whole window rather than
+    stopping at the first gap.
+    """
+    depth = 0
+    shifted = list(coords)
+    for u in range(1, 5):
+        shifted[i] += 1
+        if tuple(shifted) in coords_set:
+            depth = u
+    return depth

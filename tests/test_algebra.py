@@ -10,7 +10,9 @@ from fusionkit import (
     build,
     parse_algebra,
 )
-from fusionkit.algebra import _bcd_positive_coords, _roots_by_closure
+from fusionkit.verify import algebras_up_to
+
+from root_reference import labels_of, roots_by_closure, string_depth
 
 
 def test_parse_algebra():
@@ -81,12 +83,18 @@ def test_positive_root_counts(name, count):
     assert len(build(name).positive_roots) == count
 
 
-@pytest.mark.parametrize("name", ["B3", "B4", "B6", "C2", "C3", "C5", "D4", "D5", "D6"])
-def test_bcd_families_match_reflection_closure(name):
+@pytest.mark.parametrize("name", [str(a) for a in algebras_up_to(8)] + ["A12", "B12", "C12", "D12"])
+def test_roots_match_closure_reference(name):
+    # coordinates, labels and depth vectors of both signs, against reflection
+    # closure and a window scan of each alpha_i-string
     rs = build(name)
-    family_coords = _bcd_positive_coords(rs.algebra.family, rs.rank)
-    closure = {c for c in _roots_by_closure(rs.cartan) if all(x >= 0 for x in c)}
-    assert family_coords == closure
+    closure = roots_by_closure(rs.cartan)
+    assert [b.coords for b in rs.positive_roots] == sorted(c for c in closure if min(c) >= 0)
+    assert {b.coords for b in rs.roots} == closure
+    for beta in rs.roots:
+        assert beta.labels == labels_of(rs.cartan, beta.coords)
+        depths = tuple(string_depth(closure, beta.coords, i) for i in range(rs.rank))
+        assert rs.depth_weight(beta) == depths, beta.coords
 
 
 @pytest.mark.parametrize(

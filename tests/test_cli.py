@@ -8,6 +8,7 @@ import pytest
 
 import fusionkit.cli as cli
 import fusionkit.tadpole
+from fusionkit import VerifyReport
 
 
 def run(capsys, *argv):
@@ -196,6 +197,37 @@ def test_verify_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_THREADS", "2")
     rc, out, _ = run(capsys, "verify", "--max-rank", "1", "--max-level", "2", "--suite", "tadpole")
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--max-rank", "0"), 2),
+    (("--max-rank", "1", "--max-level", "-3"), 3),
+    (("--max-rank", "1", "--max-level", "1", "--suite", "rules"), 3),
+])
+def test_verify_refuses_empty_suites(capsys, argv, code):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out) == (code, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("value,threads", [("two", None), ("0", None), ("-3", None), ("1", 1), ("8", 1)])
+def test_verify_threads_validated_and_capped(capsys, monkeypatch, value, threads):
+    # one CPU, and run_verify only records its worker count: nothing is started
+    seen = []
+
+    def record(max_rank, max_level, suites, workers):
+        seen.append(workers)
+        return VerifyReport(0)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "run_verify", record)
+    monkeypatch.setenv("FUSIONKIT_THREADS", value)
+    rc, _, err = run(capsys, "verify")
+    if threads is None:
+        assert (rc, seen) == (2, [])
+        assert "FUSIONKIT_THREADS" in err
+    else:
+        assert (rc, seen) == (0, [threads])
 
 
 def test_verify_detects_bad_formula(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Running under `python -O` must not change an answer: no guard in the
-package may be an `assert` or hang off `__debug__`."""
+package may be an `assert` or hang off `__debug__`.  Internal faults raise
+`RuntimeError`, never `AssertionError`."""
 
 import ast
 import os
@@ -12,11 +13,19 @@ import fusionkit
 PACKAGE = Path(fusionkit.__file__).resolve().parent
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_or_debug_branch():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
+            if (isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+                    or _raises_assertion_error(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
