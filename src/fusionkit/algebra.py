@@ -126,22 +126,6 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)  # type: ignore[union-attr]
 
 
-def _invert(matrix: tuple[tuple[int, ...], ...]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan over the rationals."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(row for row in range(col, n) if aug[row][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for row in range(n):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col]
-                aug[row] = [x - factor * y for x, y in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _string_below(found: dict, gamma: tuple[int, ...], j: int) -> int:
     """How many times alpha_j can be taken off gamma, staying among `found`."""
     n = 0
@@ -206,11 +190,6 @@ class RootSystem:
         self.rank = algebra.rank
         self.cartan = _cartan_matrix(algebra)
         self.symmetrizer = _symmetrizer(self.cartan)
-        inv = _invert(self.cartan)
-        # quadratic form on weight space: (lambda, mu) = sum F_ij lambda_i mu_j
-        self.quadratic_form = tuple(
-            tuple(self.symmetrizer[i] * inv[j][i] for j in range(self.rank)) for i in range(self.rank)
-        )
 
         found = _positive_roots(self.cartan)
         self.positive_roots = tuple(Root(c, found[c][0]) for c in sorted(found))
@@ -231,6 +210,17 @@ class RootSystem:
         self.comarks = tuple(int(c) for c in comarks)
         self.affine_comarks = (1,) + self.comarks
         self.dual_coxeter = 1 + sum(self.comarks)
+        # quadratic form on weight space: (lambda, mu) = sum F_ij lambda_i mu_j.
+        # (omega_i, beta) = d_i c_i(beta), and sum_{beta > 0} (lambda, beta) (mu, beta)
+        # = h^vee (lambda, mu), so F_ij = d_i d_j sum_{beta > 0} c_i(beta) c_j(beta) / h^vee.
+        d = self.symmetrizer
+        self.quadratic_form = tuple(
+            tuple(
+                d[i] * d[j] * sum(b.coords[i] * b.coords[j] for b in self.positive_roots) / self.dual_coxeter
+                for j in range(self.rank)
+            )
+            for i in range(self.rank)
+        )
         self.weyl_vector = (1,) * self.rank
 
     # --- bilinear form -------------------------------------------------

@@ -1,5 +1,5 @@
-"""Tadpole sums over a level: closed forms, direct enumeration, and the slow
-oracle route.
+"""Tadpole sums over a level: closed forms, counting over the level polytope,
+and the slow oracle route.
 
 Two quantities per algebra and level k: the vacuum tadpole (the number of
 dominant affine weights at level k) and the adjoint tadpole (the sum of the
@@ -228,53 +228,37 @@ def branch_label(algebra: AlgebraId, level: int, kind: str = "adjoint") -> str:
 # --- enumeration ---------------------------------------------------------
 
 
-def polytope_sums(rs: RootSystem, level: int, fix_first: int | None = None) -> tuple[int, int]:
-    """Count the dominant affine weights at this level, and sum their numbers
-    of nonzero labels, in one pass.
+def _vacuum_counts(rs: RootSystem, level: int) -> list[int]:
+    """counts[b] = number of dominant affine weights at level b, for b = 0..level.
 
-    fix_first pins the zeroth label (used to split the polytope into slices;
-    the slices must add back up to the whole).
+    Sylvester's denumerant of the affine comarks, filled in place coin-change
+    style: once comark a_i is taken in, counts[b] counts the solutions of
+    sum_i a_i x_i = b over the comarks taken so far.
     """
-    budget = level if fix_first is None else level - fix_first
-    if budget < 0 or (fix_first is not None and fix_first < 0):
-        return 0, 0
-    # count[b], nzsum[b]: points of the trailing nodes whose comark-weighted
-    # labels sum to b, and their total of nonzero labels.  Prepending a node
-    # with comark m: a point at b with x >= 1 there is the point at b - m with
-    # x - 1 there, and gains a nonzero label exactly when that x - 1 is 0.
-    count = [1] + [0] * budget
-    nzsum = [0] * (budget + 1)
-    for m in reversed(rs.affine_comarks[0 if fix_first is None else 1:]):
-        new_count = count[:]
-        new_nzsum = nzsum[:]
-        for b in range(m, budget + 1):
-            new_count[b] += new_count[b - m]
-            new_nzsum[b] += new_nzsum[b - m] + count[b - m]
-        count, nzsum = new_count, new_nzsum
-    c, s = count[budget], nzsum[budget]
-    return c, s + (c if fix_first else 0)
+    counts = [1] + [0] * level
+    for m in rs.affine_comarks:
+        for b in range(m, level + 1):
+            counts[b] += counts[b - m]
+    return counts
 
 
 def zero_tadpole_enum(rs: RootSystem, level: int) -> int:
     """Vacuum tadpole = number of dominant affine weights at the level."""
     if level < 0:
         raise LevelTooSmall(f"level must be >= 0, got {level}")
-    return polytope_sums(rs, level)[0]
-
-
-def theta_plus_zero_enum(rs: RootSystem, level: int) -> int:
-    """Sum of adjoint and vacuum tadpoles: total nonzero labels at the level."""
-    if level < 0:
-        raise LevelTooSmall(f"level must be >= 0, got {level}")
-    return polytope_sums(rs, level)[1]
+    return _vacuum_counts(rs, level)[level]
 
 
 def adjoint_tadpole_enum(rs: RootSystem, level: int) -> int:
-    """Adjoint tadpole by direct enumeration of the level polytope."""
+    """Adjoint tadpole: nonzero labels minus one, summed over the level polytope.
+
+    A weight at level k with label x_i >= 1 is, with x_i lowered by one, a
+    weight at level k - a_i, so T_theta(k) = sum_i T_0(k - a_i) - T_0(k).
+    """
     if level < 2:
         raise LevelTooSmall(f"adjoint tadpole needs level >= 2, got {level}")
-    count, nzsum = polytope_sums(rs, level)
-    return nzsum - count
+    counts = _vacuum_counts(rs, level)
+    return sum(counts[level - m] for m in rs.affine_comarks if m <= level) - counts[level]
 
 
 def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:

@@ -51,28 +51,19 @@ def check_rules_vs_oracle(algebra: AlgebraId, level: int) -> list[str]:
 def check_tadpole_methods(algebra: AlgebraId, level: int) -> list[str]:
     """Tadpole formulas against enumeration at one level (skipped if no form)."""
     rs = build(algebra)
-    bad = []
-    enum_zero = tadpole.zero_tadpole_enum(rs, level)
-    try:
-        form_zero = tadpole.zero_tadpole_formula(algebra, level)
-    except NoClosedForm:
-        form_zero = None
-    if form_zero is not None and form_zero != enum_zero:
-        label = tadpole.branch_label(algebra, level, "zero")
-        bad.append(
-            f"{algebra} level {level} vacuum tadpole ({label}): formula {form_zero}, enumeration {enum_zero}"
-        )
+    kinds = [("zero", "vacuum", tadpole.zero_tadpole_enum, tadpole.zero_tadpole_formula)]
     if level >= 2:
-        enum_adj = tadpole.adjoint_tadpole_enum(rs, level)
+        kinds.append(("adjoint", "adjoint", tadpole.adjoint_tadpole_enum, tadpole.adjoint_tadpole_formula))
+    bad = []
+    for kind, noun, enum, formula in kinds:
+        counted = enum(rs, level)
         try:
-            form_adj = tadpole.adjoint_tadpole_formula(algebra, level)
+            closed = formula(algebra, level)
         except NoClosedForm:
-            form_adj = None
-        if form_adj is not None and form_adj != enum_adj:
-            label = tadpole.branch_label(algebra, level, "adjoint")
-            bad.append(
-                f"{algebra} level {level} adjoint tadpole ({label}): formula {form_adj}, enumeration {enum_adj}"
-            )
+            continue
+        if closed != counted:
+            label = tadpole.branch_label(algebra, level, kind)
+            bad.append(f"{algebra} level {level} {noun} tadpole ({label}): formula {closed}, enumeration {counted}")
     return bad
 
 

@@ -2,8 +2,11 @@
 of the layered generator in `fusionkit.algebra`.
 
 Roots come from closing the simple roots under the simple reflections; string
-depths come from scanning beta + u alpha_i for u = 1..4 against that set.
+depths come from scanning beta + u alpha_i for u = 1..4 against that set; the
+quadratic form comes from inverting the Cartan matrix.
 """
+
+from fractions import Fraction
 
 
 def roots_by_closure(cartan):
@@ -45,3 +48,26 @@ def string_depth(coords_set, coords, i):
         if tuple(shifted) in coords_set:
             depth = u
     return depth
+
+
+def invert(matrix):
+    """Exact inverse by Gauss-Jordan over the rationals."""
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if aug[row][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for row in range(n):
+            if row != col and aug[row][col] != 0:
+                factor = aug[row][col]
+                aug[row] = [x - factor * y for x, y in zip(aug[row], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def quadratic_form(cartan, symmetrizer):
+    """(omega_i, omega_j) = d_i (A^-1)_ji."""
+    inv = invert(cartan)
+    r = len(cartan)
+    return tuple(tuple(symmetrizer[i] * inv[j][i] for j in range(r)) for i in range(r))

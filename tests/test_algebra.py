@@ -12,7 +12,7 @@ from fusionkit import (
 )
 from fusionkit.verify import algebras_up_to
 
-from root_reference import labels_of, roots_by_closure, string_depth
+from root_reference import labels_of, quadratic_form, roots_by_closure, string_depth
 
 
 def test_parse_algebra():
@@ -86,8 +86,10 @@ def test_positive_root_counts(name, count):
 @pytest.mark.parametrize("name", [str(a) for a in algebras_up_to(8)] + ["A12", "B12", "C12", "D12"])
 def test_roots_match_closure_reference(name):
     # coordinates, labels and depth vectors of both signs, against reflection
-    # closure and a window scan of each alpha_i-string
+    # closure and a window scan of each alpha_i-string; the quadratic form
+    # against the inverse Cartan matrix
     rs = build(name)
+    assert rs.quadratic_form == quadratic_form(rs.cartan, rs.symmetrizer)
     closure = roots_by_closure(rs.cartan)
     assert [b.coords for b in rs.positive_roots] == sorted(c for c in closure if min(c) >= 0)
     assert {b.coords for b in rs.roots} == closure
