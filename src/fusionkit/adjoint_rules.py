@@ -35,9 +35,6 @@ class FusionDecomposition:
     level: int | None
     entries: dict[Weight, int]
 
-    def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self.entries.items())
-
     def multiplicity(self, nu: Weight) -> int:
         return self.entries.get(tuple(nu), 0)
 

@@ -197,13 +197,11 @@ class RootSystem:
         # depth vectors of both signs: d(beta) = p(beta) - labels(beta), d(-beta) = p(beta)
         self._depths = {b.coords: tuple(map(sub, found[b.coords][1], b.labels)) for b in self.positive_roots}
         self._depths.update((tuple(-c for c in coords), below) for coords, (_, below) in found.items())
-        self._labels_map = {b.labels: b for b in self.roots}
 
         top = max(self.positive_roots, key=lambda b: b.height)
         if sum(1 for b in self.positive_roots if b.height == top.height) != 1:
             raise RuntimeError(f"{algebra}: highest root is not unique")
         self.highest_root = top
-        self.marks = top.coords
         comarks = tuple(self.symmetrizer[i] * top.coords[i] for i in range(self.rank))
         if any(c.denominator != 1 for c in comarks):
             raise RuntimeError(f"{algebra}: comarks {comarks} are not integers")
@@ -221,7 +219,6 @@ class RootSystem:
             )
             for i in range(self.rank)
         )
-        self.weyl_vector = (1,) * self.rank
 
     # --- bilinear form -------------------------------------------------
 
@@ -251,21 +248,10 @@ class RootSystem:
             sum(coords[j] * self.cartan[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
 
-    def is_root(self, coords: tuple[int, ...]) -> bool:
-        return coords in self._depths
-
     def root_at(self, coords: tuple[int, ...]) -> Root:
         if coords not in self._depths:
             raise NotARoot(f"{coords} is not a root of {self.algebra}")
         return Root(coords, self.labels_of(coords))
-
-    def root_from_labels(self, labels: tuple[int, ...]) -> Root | None:
-        """The root with these Dynkin labels, or None."""
-        return self._labels_map.get(labels)
-
-    def simple_root(self, i: int) -> Root:
-        coords = tuple(int(i == j) for j in range(self.rank))
-        return Root(coords, tuple(self.cartan[i]))
 
     # --- Weyl group -----------------------------------------------------
 
@@ -276,12 +262,6 @@ class RootSystem:
             return lam
         row = self.cartan[i]
         return tuple(x - li * row[j] for j, x in enumerate(lam))
-
-    def shifted_reflect(self, lam: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """r_i . lambda = r_i(lambda + rho) - rho, acting on labels."""
-        c = lam[i] + 1
-        row = self.cartan[i]
-        return tuple(x - c * row[j] for j, x in enumerate(lam))
 
     # --- root strings ----------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bad input (names, weights, dominance), 3 level out of
-range or mismatched, 4 verification found a mismatch, 5 no closed form.
+Exit codes: 0 success, 2 bad input (names, weights, dominance) and every other
+FusionError, 3 level out of range or mismatched, 4 verification found a
+mismatch, 5 no closed form.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .adjoint_rules import (
     G2_OFFDIAG_TABLE,
@@ -19,7 +21,7 @@ from .adjoint_rules import (
     reference_nontrivial_conditions,
 )
 from .algebra import build, parse_algebra
-from .errors import InvalidRank, LevelMismatch, LevelTooSmall, NoClosedForm
+from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion, racah_speiser_tensor
 from .tadpole import (
     B_TADPOLE_TABLE,
@@ -27,11 +29,11 @@ from .tadpole import (
     adjoint_tadpole_formula,
     adjoint_tadpole_oracle,
     b_table_check,
-    branch_label,
     zero_tadpole_enum,
     zero_tadpole_formula,
+    zero_tadpole_oracle,
 )
-from .verify import ALL_SUITES, check_g2_table, run_verify
+from .verify import ALL_SUITES, check_conditions, check_g2_table, condition_algebras, run_verify
 from .weights import affinize, format_weight, parse_weight
 
 EXIT_OK = 0
@@ -40,12 +42,22 @@ EXIT_LEVEL = 3
 EXIT_MISMATCH = 4
 EXIT_NO_CLOSED_FORM = 5
 
-TABLE_NAMES = ("b-tadpoles", "g2-offdiag", "nontrivial")
+# exception class -> exit code; the first class the error is an instance of wins
+EXIT_CODES = (
+    (LevelTooSmall, EXIT_LEVEL),
+    (LevelMismatch, EXIT_LEVEL),
+    (NoClosedForm, EXIT_NO_CLOSED_FORM),
+    (FusionError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
 
-
-def _emit(args: argparse.Namespace, record: dict) -> None:
+def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
+    """The JSON record with --json, else the text lines."""
     if args.json:
         print(json.dumps(record, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _parse_weight_for(rs, text: str):
@@ -66,8 +78,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         level = None
     else:
         if args.level is None:
-            print("error: --level is required unless --tensor is given", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--level is required unless --tensor is given")
         aff = affinize(rs, mu, args.level)
         if args.method == "oracle":
             entries = kac_walton_fusion(rs, aff)
@@ -75,151 +86,120 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             entries = decompose(rs, aff).entries
         level = args.level
     lines = {format_weight(nu): mult for nu, mult in sorted(entries.items())}
-    if args.json:
-        _emit(args, {
-            "command": "fuse",
-            "algebra": str(rs.algebra),
-            "level": level,
-            "weight": list(mu),
-            "method": args.method,
-            "entries": lines,
-        })
-    else:
-        for text, mult in lines.items():
-            print(f"{text}: {mult}")
+    _emit(args, {
+        "command": "fuse",
+        "algebra": str(rs.algebra),
+        "level": level,
+        "weight": list(mu),
+        "method": args.method,
+        "entries": lines,
+    }, [f"{text}: {mult}" for text, mult in lines.items()])
     return EXIT_OK
 
 
 def _cmd_tadpole(args: argparse.Namespace) -> int:
     algebra = parse_algebra(args.algebra)
     rs = build(algebra)
-    kind = "zero" if args.zero else "adjoint"
-
-    def formula():
-        if args.zero:
-            return zero_tadpole_formula(algebra, args.level)
-        return adjoint_tadpole_formula(algebra, args.level)
-
-    def enumeration():
-        if args.zero:
-            return zero_tadpole_enum(rs, args.level)
-        return adjoint_tadpole_enum(rs, args.level)
-
+    # method -> (adjoint, vacuum); built per call so that a rebound module
+    # attribute (a test double, a tracing wrapper) is the one called
+    methods = {
+        "formula": (partial(adjoint_tadpole_formula, algebra), partial(zero_tadpole_formula, algebra)),
+        "enum": (partial(adjoint_tadpole_enum, rs), partial(zero_tadpole_enum, rs)),
+        "oracle": (partial(adjoint_tadpole_oracle, rs), partial(zero_tadpole_oracle, rs)),
+    }
+    record = {"command": "tadpole", "algebra": str(algebra), "level": args.level,
+              "kind": "zero" if args.zero else "adjoint"}
     if args.method == "all":
-        values = {}
         try:
-            values["formula"] = formula()
+            formula = methods["formula"][args.zero](args.level)
         except NoClosedForm:
-            values["formula"] = None
-        values["enumeration"] = enumeration()
-        if args.json:
-            record = {"command": "tadpole", "algebra": str(algebra), "level": args.level, "kind": kind}
-            record.update(values)
-            _emit(args, record)
-        else:
-            text = "unavailable (no closed form)" if values["formula"] is None else values["formula"]
-            print(f"formula: {text}")
-            print(f"enumeration: {values['enumeration']}")
-        if values["formula"] is not None and values["formula"] != values["enumeration"]:
+            formula = None
+        enumeration = methods["enum"][args.zero](args.level)
+        record.update(formula=formula, enumeration=enumeration)
+        text = "unavailable (no closed form)" if formula is None else formula
+        _emit(args, record, [f"formula: {text}", f"enumeration: {enumeration}"])
+        if formula not in (None, enumeration):
             print(f"error: methods disagree for {algebra} at level {args.level}", file=sys.stderr)
             return EXIT_MISMATCH
         return EXIT_OK
-
-    if args.method == "formula":
-        value = formula()
-    elif args.method == "enum":
-        value = enumeration()
-    else:
-        if args.zero:
-            value = zero_tadpole_enum(rs, args.level)
-        else:
-            value = adjoint_tadpole_oracle(rs, args.level)
-    if args.json:
-        _emit(args, {
-            "command": "tadpole",
-            "algebra": str(algebra),
-            "level": args.level,
-            "kind": kind,
-            "method": args.method,
-            "value": value,
-        })
-    else:
-        print(value)
+    value = methods[args.method][args.zero](args.level)
+    record.update(method=args.method, value=value)
+    _emit(args, record, [str(value)])
     return EXIT_OK
 
 
-def _print_b_table() -> None:
+def _check_b_table() -> tuple[list[str], str]:
+    bad = b_table_check()
+    total = len(B_TADPOLE_TABLE)
+    return bad, f"{total - len(bad)}/{total} cells match"
+
+
+def _check_g2_table() -> tuple[list[str], str]:
+    bad = check_g2_table()
+    starred = sum(1 for row in G2_OFFDIAG_TABLE if row[2] is not None)
+    return bad, f"{len(G2_OFFDIAG_TABLE) - len(bad)}/{len(G2_OFFDIAG_TABLE)} rows match ({starred} starred)"
+
+
+def _check_condition_tables() -> tuple[list[str], list[str]]:
+    bad = []
+    lines = []
+    for algebra in condition_algebras():
+        problems = check_conditions(algebra)
+        bad += problems
+        n = len(reference_nontrivial_conditions(algebra))
+        lines.append(f"{algebra}: {n} conditions match" if not problems else f"{algebra}: MISMATCH")
+    return bad, lines
+
+
+# table name -> recheck returning (mismatches, summary: one line or a list of lines)
+TABLE_CHECKS = {
+    "b-tadpoles": _check_b_table,
+    "g2-offdiag": _check_g2_table,
+    "nontrivial": _check_condition_tables,
+}
+
+
+def _b_table_lines() -> list[str]:
     ranks = sorted({r for r, _ in B_TADPOLE_TABLE})
     levels = sorted({k for _, k in B_TADPOLE_TABLE})
-    print("level " + " ".join(f"B{r}".rjust(6) for r in ranks))
+    lines = ["level " + " ".join(f"B{r}".rjust(6) for r in ranks)]
     for k in levels:
         row = " ".join(str(B_TADPOLE_TABLE[(r, k)]).rjust(6) for r in ranks)
-        print(f"{str(k).rjust(5)} {row}")
+        lines.append(f"{str(k).rjust(5)} {row}")
+    return lines
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.check:
+        bad, summary = TABLE_CHECKS[args.name]()
+        for line in bad:
+            print(line, file=sys.stderr)
+        lines = summary if isinstance(summary, list) else [summary]
+        _emit(args, {"command": "table", "name": args.name, "check": summary, "ok": not bad}, lines)
+        return EXIT_OK if not bad else EXIT_MISMATCH
+
     if args.name == "b-tadpoles":
-        if args.check:
-            bad = b_table_check()
-            for line in bad:
-                print(line, file=sys.stderr)
-            total = len(B_TADPOLE_TABLE)
-            summary = f"{total - len(bad)}/{total} cells match"
-            _emit(args, {"command": "table", "name": args.name, "check": summary, "ok": not bad})
-            if not args.json:
-                print(summary)
-            return EXIT_OK if not bad else EXIT_MISMATCH
-        if args.json:
-            cells = {f"B{r},{k}": v for (r, k), v in sorted(B_TADPOLE_TABLE.items())}
-            _emit(args, {"command": "table", "name": args.name, "cells": cells})
-        else:
-            _print_b_table()
+        cells = {f"B{r},{k}": v for (r, k), v in sorted(B_TADPOLE_TABLE.items())}
+        _emit(args, {"command": "table", "name": args.name, "cells": cells}, _b_table_lines())
         return EXIT_OK
 
     if args.name == "g2-offdiag":
-        if args.check:
-            bad = check_g2_table()
-            for line in bad:
-                print(line, file=sys.stderr)
-            starred = sum(1 for row in G2_OFFDIAG_TABLE if row[2] is not None)
-            summary = f"{len(G2_OFFDIAG_TABLE) - len(bad)}/{len(G2_OFFDIAG_TABLE)} rows match ({starred} starred)"
-            _emit(args, {"command": "table", "name": args.name, "check": summary, "ok": not bad})
-            if not args.json:
-                print(summary)
-            return EXIT_OK if not bad else EXIT_MISMATCH
         rows = []
+        lines = []
         for coords, thresholds, star, delta in G2_OFFDIAG_TABLE:
             mark = f" pinned at node {star + 1}" if star is not None else ""
             rows.append({"root": list(coords), "thresholds": list(thresholds), "shift": list(delta),
                          "pinned_node": None if star is None else star + 1})
-            if not args.json:
-                t0, t1, t2 = thresholds
-                print(f"beta={coords} needs ({t0}; {t1},{t2}) shift {delta}{mark}")
-        _emit(args, {"command": "table", "name": args.name, "rows": rows})
+            t0, t1, t2 = thresholds
+            lines.append(f"beta={coords} needs ({t0}; {t1},{t2}) shift {delta}{mark}")
+        _emit(args, {"command": "table", "name": args.name, "rows": rows}, lines)
         return EXIT_OK
 
-    # nontrivial conditions
-    if args.check:
-        from .verify import _condition_algebras, check_conditions
-
-        bad = []
-        lines = []
-        for algebra in _condition_algebras():
-            problems = check_conditions(algebra)
-            bad += problems
-            n = len(reference_nontrivial_conditions(algebra))
-            lines.append(f"{algebra}: {n} conditions match" if not problems else f"{algebra}: MISMATCH")
-        for line in lines:
-            print(line)
-        for line in bad:
-            print(line, file=sys.stderr)
-        _emit(args, {"command": "table", "name": args.name, "check": lines, "ok": not bad})
-        return EXIT_OK if not bad else EXIT_MISMATCH
     if not args.algebra:
-        print("error: table nontrivial needs --algebra or --check", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("table nontrivial needs --algebra or --check")
     rs = build(parse_algebra(args.algebra))
     rows = []
+    lines = []
     for cond in nontrivial_conditions(rs):
         rows.append({
             "root": list(cond.root),
@@ -227,15 +207,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "plus": cond.threshold_plus,
             "minus": cond.threshold_minus,
         })
-        if not args.json:
-            print(
-                f"beta={cond.root} node {cond.index + 1}: "
-                f"mu_{cond.index + 1} >= {cond.threshold_plus} (+beta), "
-                f">= {cond.threshold_minus} (-beta)"
-            )
-    if not args.json and not rows:
-        print(f"{rs.algebra}: every condition follows from dominance")
-    _emit(args, {"command": "table", "name": args.name, "algebra": str(rs.algebra), "rows": rows})
+        lines.append(
+            f"beta={cond.root} node {cond.index + 1}: "
+            f"mu_{cond.index + 1} >= {cond.threshold_plus} (+beta), "
+            f">= {cond.threshold_minus} (-beta)"
+        )
+    if not rows:
+        lines.append(f"{rs.algebra}: every condition follows from dominance")
+    _emit(args, {"command": "table", "name": args.name, "algebra": str(rs.algebra), "rows": rows}, lines)
     return EXIT_OK
 
 
@@ -250,18 +229,16 @@ def _threads_from_env() -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
     report = run_verify(args.max_rank, args.max_level, suites, _threads_from_env())
-    if args.json:
-        _emit(args, {
-            "command": "verify",
-            "tasks": report.tasks,
-            "mismatches": report.messages,
-            "ok": report.ok,
-        })
-    else:
+    if not args.json:
         for line in report.messages:
             print(line, file=sys.stderr)
-        state = "ok" if report.ok else f"{len(report.messages)} mismatches"
-        print(f"verify: {report.tasks} tasks, {state}")
+    state = "ok" if report.ok else f"{len(report.messages)} mismatches"
+    _emit(args, {
+        "command": "verify",
+        "tasks": report.tasks,
+        "mismatches": report.messages,
+        "ok": report.ok,
+    }, [f"verify: {report.tasks} tasks, {state}"])
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -290,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tad.set_defaults(func=_cmd_tadpole)
 
     table = sub.add_parser("table", help="reference tables, optionally rechecked")
-    table.add_argument("name", choices=TABLE_NAMES)
+    table.add_argument("name", choices=tuple(TABLE_CHECKS))
     table.add_argument("--check", action="store_true", help="recompute and compare")
     table.add_argument("--algebra", help="for: nontrivial")
     table.add_argument("--json", action="store_true")
@@ -314,15 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (LevelTooSmall, LevelMismatch) as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEVEL
-    except NoClosedForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CLOSED_FORM
-    except (InvalidRank, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -68,7 +68,6 @@ def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     """theta (x) mu as a tensor product, summed over the adjoint weight system."""
     if any(v < 0 for v in mu):
         raise ValueError(f"{mu} is not dominant")
-    rho = rs.weyl_vector
     acc: dict[Weight, int] = {}
     for w in adjoint_weight_system(rs):
         x = tuple(m + wi + 1 for m, wi in zip(mu, w))

@@ -261,6 +261,13 @@ def adjoint_tadpole_enum(rs: RootSystem, level: int) -> int:
     return sum(counts[level - m] for m in rs.affine_comarks if m <= level) - counts[level]
 
 
+def zero_tadpole_oracle(rs: RootSystem, level: int) -> int:
+    """Vacuum tadpole Tr N_0 = |P_k|, by listing the weights at the level."""
+    if level < 0:
+        raise LevelTooSmall(f"level must be >= 0, got {level}")
+    return sum(1 for _ in enumerate_level(rs, level))
+
+
 def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
     from .oracle import kac_walton_fusion

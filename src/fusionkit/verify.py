@@ -87,8 +87,8 @@ def check_f4_table() -> list[str]:
     return bad
 
 
-# rank sweep for the condition tables; E8 added on top of the rank-7 window
-def _condition_algebras() -> list[AlgebraId]:
+def condition_algebras() -> list[AlgebraId]:
+    """The algebras whose condition tables are checked: rank <= 7, plus E8."""
     return algebras_up_to(7) + [AlgebraId("E", 8)]
 
 
@@ -104,7 +104,7 @@ def check_reference_tables() -> list[str]:
     bad = tadpole.b_table_check()
     bad += check_g2_table()
     bad += check_f4_table()
-    for algebra in _condition_algebras():
+    for algebra in condition_algebras():
         bad += check_conditions(algebra)
     return bad
 

@@ -67,7 +67,3 @@ def parse_weight(text: str) -> Weight:
 
 def format_weight(lam: Weight) -> str:
     return ",".join(str(x) for x in lam)
-
-
-def format_affine(aff: AffineWeight) -> str:
-    return str(aff)

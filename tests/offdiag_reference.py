@@ -15,23 +15,24 @@ in theta (x) mu, by its own route through the root-system data:
 from functools import lru_cache
 
 from fusionkit import build, nontrivial_conditions
+from root_reference import is_root, root_from_labels, shifted_reflect
 
 
 def _shift_is_positive_root(rs, beta, i, steps):
     coords = list(beta.coords)
     coords[i] += steps
-    return rs.is_root(tuple(coords)) and all(c >= 0 for c in coords)
+    return is_root(rs, tuple(coords)) and all(c >= 0 for c in coords)
 
 
 def _shift_is_negative_root(rs, beta, i, steps):
     coords = list(beta.coords)
     coords[i] -= steps
-    return rs.is_root(tuple(coords)) and all(c <= 0 for c in coords)
+    return is_root(rs, tuple(coords)) and all(c <= 0 for c in coords)
 
 
 def offdiag_endpoint(rs, mu, nu):
     """Tensor coefficient of nu != mu in theta (x) mu, endpoint form."""
-    beta = rs.root_from_labels(tuple(a - b for a, b in zip(nu, mu)))
+    beta = root_from_labels(rs, tuple(a - b for a, b in zip(nu, mu)))
     if beta is None:
         return 0
     if all(c >= 0 for c in beta.coords):
@@ -53,7 +54,7 @@ def condition_map(algebra):
 
 def offdiag_conditions(rs, mu, nu):
     """Tensor coefficient of nu != mu in theta (x) mu, from the condition map."""
-    beta = rs.root_from_labels(tuple(a - b for a, b in zip(nu, mu)))
+    beta = root_from_labels(rs, tuple(a - b for a, b in zip(nu, mu)))
     if beta is None:
         return 0
     cond = condition_map(rs.algebra).get(beta.coords)
@@ -67,19 +68,19 @@ def offdiag_conditions(rs, mu, nu):
 def offdiag_affine_reflection(rs, mu, nu):
     """Fusion coefficient of nu-hat != mu-hat, affine-reflection form."""
     diff = tuple(a - b for a, b in zip(nu.finite, mu.finite))
-    if rs.root_from_labels(diff) is None:
+    if root_from_labels(rs, diff) is None:
         return 0
     zero = (0,) * rs.rank
     for i in range(rs.rank):
-        ref = rs.shifted_reflect(mu.finite, i)
+        ref = shifted_reflect(rs, mu.finite, i)
         rel = tuple(a - b for a, b in zip(nu.finite, ref))
-        if rel == zero or rs.root_from_labels(rel) is not None:
+        if rel == zero or root_from_labels(rs, rel) is not None:
             return 0
     # i = 0: r_0 . mu = mu + (mu_0 + 1) theta
     c0 = mu.labels[0] + 1
     theta = rs.highest_root.labels
     ref0 = tuple(x + c0 * t for x, t in zip(mu.finite, theta))
     rel0 = tuple(a - b for a, b in zip(nu.finite, ref0))
-    if rel0 == zero or rs.root_from_labels(rel0) is not None:
+    if rel0 == zero or root_from_labels(rs, rel0) is not None:
         return 0
     return 1

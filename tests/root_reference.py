@@ -4,9 +4,15 @@ of the layered generator in `fusionkit.algebra`.
 Roots come from closing the simple roots under the simple reflections; string
 depths come from scanning beta + u alpha_i for u = 1..4 against that set; the
 quadratic form comes from inverting the Cartan matrix.
+
+It also holds the root look-ups and the shifted reflection that only the
+tests need, as functions of a built `RootSystem`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+
+from fusionkit import Root
 
 
 def roots_by_closure(cartan):
@@ -71,3 +77,31 @@ def quadratic_form(cartan, symmetrizer):
     inv = invert(cartan)
     r = len(cartan)
     return tuple(tuple(symmetrizer[i] * inv[j][i] for j in range(r)) for i in range(r))
+
+
+@lru_cache(maxsize=None)
+def _root_index(rs):
+    """The coordinates of every root of rs, and its roots keyed by Dynkin labels."""
+    return frozenset(beta.coords for beta in rs.roots), {beta.labels: beta for beta in rs.roots}
+
+
+def is_root(rs, coords):
+    """Whether sum_j coords[j] * alpha_j is a root of rs."""
+    return tuple(coords) in _root_index(rs)[0]
+
+
+def root_from_labels(rs, labels):
+    """The root of rs with these Dynkin labels, or None."""
+    return _root_index(rs)[1].get(tuple(labels))
+
+
+def simple_root(rs, i):
+    coords = tuple(int(i == j) for j in range(rs.rank))
+    return Root(coords, tuple(rs.cartan[i]))
+
+
+def shifted_reflect(rs, lam, i):
+    """r_i . lambda = r_i(lambda + rho) - rho, acting on labels."""
+    c = lam[i] + 1
+    row = rs.cartan[i]
+    return tuple(x - c * row[j] for j, x in enumerate(lam))

@@ -246,5 +246,5 @@ def test_decomposition_container():
     assert dec.multiplicity((1, 1)) == 2
     assert dec.multiplicity((9, 9)) == 0
     assert dec.total() == 6
-    assert dec.sorted_items()[0][0] == (0, 0)
+    assert min(dec.entries) == (0, 0)
     assert dec.level is None

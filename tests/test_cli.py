@@ -8,7 +8,16 @@ import pytest
 
 import fusionkit.cli as cli
 import fusionkit.tadpole
-from fusionkit import VerifyReport
+from fusionkit import (
+    AlgebraMismatch,
+    FusionError,
+    InvalidRank,
+    LevelMismatch,
+    LevelTooSmall,
+    NoClosedForm,
+    NotARoot,
+    VerifyReport,
+)
 
 
 def run(capsys, *argv):
@@ -112,6 +121,13 @@ def test_tadpole_oracle_method(capsys):
     assert rc2 == 0 and out == out2
 
 
+def test_zero_tadpole_oracle_counts_the_weights(capsys, monkeypatch):
+    # Tr N_0 = |P_k|: the oracle lists the weights and never reads the counting array
+    monkeypatch.setattr(fusionkit.tadpole, "_vacuum_counts", lambda rs, level: [7] * (level + 1))
+    assert run(capsys, "tadpole", "A3", "--level", "4", "--zero", "--method", "enum")[:2] == (0, "7\n")
+    assert run(capsys, "tadpole", "A3", "--level", "4", "--zero", "--method", "oracle")[:2] == (0, "35\n")
+
+
 def test_tadpole_json(capsys):
     rc, out, _ = run(capsys, "tadpole", "B3", "--level", "5", "--json")
     record = json.loads(out)
@@ -156,6 +172,13 @@ def test_table_conditions_check(capsys):
     assert "B5: 4 conditions match" in lines
     assert "G2: 2 conditions match" in lines
     assert "E8: 0 conditions match" in lines
+
+
+def test_table_conditions_check_json_is_one_record(capsys):
+    rc, out, _ = run(capsys, "table", "nontrivial", "--check", "--json")
+    record = json.loads(out)
+    assert rc == 0
+    assert record["ok"] is True
 
 
 def test_table_conditions_for_algebra(capsys):
@@ -244,3 +267,47 @@ def test_tadpole_all_detects_disagreement(capsys, monkeypatch):
     assert rc == 4
     assert "methods disagree" in err
     assert out.splitlines()[0] == "formula: 999"
+
+
+EXIT_CODES = {
+    InvalidRank: 2,
+    AlgebraMismatch: 2,
+    NotARoot: 2,
+    LevelTooSmall: 3,
+    LevelMismatch: 3,
+    NoClosedForm: 5,
+    FusionError: 2,
+    ValueError: 2,
+}
+
+
+def test_exit_codes_name_every_fusion_error():
+    assert set(FusionError.__subclasses__()) | {FusionError, ValueError} == set(EXIT_CODES)
+
+
+def _raise(exc):
+    def command(args):
+        raise exc("boom")
+    return command
+
+
+@pytest.mark.parametrize("exc,code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_every_error_exits_through_the_table(capsys, monkeypatch, exc, code):
+    monkeypatch.setattr(cli, "_cmd_fuse", _raise(exc))
+    rc, out, err = run(capsys, "fuse", "A2", "--weight", "1,1", "--level", "2")
+    assert (rc, out, err) == (code, "", "error: boom\n")
+
+
+def test_error_exit_under_optimize():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import fusionkit.cli as cli\n"
+        "from fusionkit import NotARoot\n"
+        "def command(args):\n"
+        "    raise NotARoot('boom')\n"
+        "cli._cmd_fuse = command\n"
+        "raise SystemExit(cli.main(['fuse', 'A2', '--weight', '1,1', '--level', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: boom\n")
