@@ -7,11 +7,14 @@ with multiplicities that never exceed the rank:
   one for the affine zeroth label in the fusion case;
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
-  weight of beta, one row per root in `rule_table`.  The tensor product is the
-  same rule without the zeroth label.  Dominance of mu and nu already forces
-  mu_i >= max(0, -beta_i), so only the few (beta, i) with root-string depth
-  exceeding that bound ever decide anything; those are the "nontrivial
-  conditions" tabulated per family below.
+  weight of beta, one row per root in `rule_table`.  Dominance of mu and nu
+  already forces mu_i >= max(0, -beta_i), so only the few (beta, i) with
+  root-string depth exceeding that bound ever decide anything; those are the
+  "nontrivial conditions" tabulated per family below.
+
+The tensor product is fusion at the stable level (theta, mu) + 2: there the
+zeroth label is >= 2, so it drops no weight and counts as a nonzero label,
+which the "minus one" of the diagonal fusion count takes back.
 """
 
 from __future__ import annotations
@@ -23,8 +26,16 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import AlgebraId, RootSystem, build
-from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
-from .weights import AffineWeight, Weight, nonzero_affine_labels
+from .errors import LevelMismatch
+from .weights import (
+    AffineWeight,
+    Weight,
+    _check_affine,
+    _check_dominant,
+    affinize,
+    nonzero_affine_labels,
+    stable_level,
+)
 
 
 @dataclass
@@ -57,21 +68,6 @@ class NontrivialCondition:
     threshold_minus: int
 
 
-def _check_dominant(lam: Weight, size: int, what: str) -> None:
-    if len(lam) != size:
-        raise AlgebraMismatch(f"{what} {lam} needs {size} labels")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"{what} {lam} is not dominant")
-
-
-def _check_affine(rs: RootSystem, mu: AffineWeight, what: str) -> None:
-    if mu.level < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
-    _check_dominant(mu.labels, rs.rank + 1, what)
-    if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
-        raise LevelMismatch(f"{what} {mu.labels} does not lie at level {mu.level}")
-
-
 @lru_cache(maxsize=None)
 def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
     """The off-diagonal rule: Dynkin labels of each root beta -> its minimal
@@ -80,8 +76,8 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
     theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
     label by label, with t_0 = max(0, (theta, beta)) and
     t_i = max(0, -beta_i, d_i(beta)).  The t_i >= -beta_i part is dominance of
-    mu + beta, t_0 is its zeroth label staying >= 0; the tensor product drops
-    t_0.  Rows follow the order of ``rs.roots``.
+    mu + beta, t_0 <= 2 is its zeroth label staying >= 0.  Rows follow the
+    order of ``rs.roots``.
     """
     rs = build(algebra)
     table: dict[Weight, tuple[int, ...]] = {}
@@ -96,7 +92,7 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
 def diag_tensor(rs: RootSystem, mu: Weight) -> int:
     """Multiplicity of mu itself inside theta (x) mu."""
     _check_dominant(mu, rs.rank, "weight")
-    return sum(1 for x in mu if x != 0)
+    return diag_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
@@ -109,10 +105,8 @@ def offdiag_tensor(rs: RootSystem, mu: Weight, nu: Weight) -> int:
     """Multiplicity of nu != mu inside theta (x) mu (0 or 1)."""
     _check_dominant(mu, rs.rank, "weight")
     _check_dominant(nu, rs.rank, "target")
-    floor = rule_table(rs.algebra).get(tuple(a - b for a, b in zip(nu, mu)))
-    if floor is None:
-        return 0
-    return int(all(map(ge, mu, floor[1:])))
+    level = stable_level(rs, mu, nu)
+    return offdiag_fusion(rs, affinize(rs, mu, level), affinize(rs, nu, level))
 
 
 def offdiag_fusion(rs: RootSystem, mu: AffineWeight, nu: AffineWeight) -> int:
@@ -129,14 +123,8 @@ def offdiag_fusion(rs: RootSystem, mu: AffineWeight, nu: AffineWeight) -> int:
 
 def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu as a tensor product."""
-    entries: dict[Weight, int] = {}
-    d = diag_tensor(rs, mu)
-    if d:
-        entries[tuple(mu)] = d
-    for beta, floor in rule_table(rs.algebra).items():
-        # the tensor product has no zeroth label: skip t_0
-        if all(map(ge, mu, floor[1:])):
-            entries[tuple(map(add, mu, beta))] = 1
+    _check_dominant(mu, rs.rank, "weight")
+    entries = decompose(rs, affinize(rs, mu, stable_level(rs, mu))).entries
     return FusionDecomposition(rs.algebra, None, entries)
 
 

@@ -16,13 +16,12 @@ from functools import partial
 from .adjoint_rules import (
     G2_OFFDIAG_TABLE,
     decompose,
-    decompose_tensor,
     nontrivial_conditions,
     reference_nontrivial_conditions,
 )
 from .algebra import build, parse_algebra
 from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
-from .oracle import kac_walton_fusion, racah_speiser_tensor
+from .oracle import kac_walton_fusion
 from .tadpole import (
     B_TADPOLE_TABLE,
     adjoint_tadpole_enum,
@@ -34,7 +33,7 @@ from .tadpole import (
     zero_tadpole_oracle,
 )
 from .verify import ALL_SUITES, check_conditions, check_g2_table, condition_algebras, run_verify
-from .weights import affinize, format_weight, parse_weight
+from .weights import affinize, format_weight, parse_weight, stable_level
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,26 +69,18 @@ def _parse_weight_for(rs, text: str):
 def _cmd_fuse(args: argparse.Namespace) -> int:
     rs = build(parse_algebra(args.algebra))
     mu = _parse_weight_for(rs, args.weight)
-    if args.tensor:
-        if args.method == "oracle":
-            entries = racah_speiser_tensor(rs, mu)
-        else:
-            entries = decompose_tensor(rs, mu).entries
-        level = None
-    else:
-        if args.level is None:
-            raise ValueError("--level is required unless --tensor is given")
-        aff = affinize(rs, mu, args.level)
-        if args.method == "oracle":
-            entries = kac_walton_fusion(rs, aff)
-        else:
-            entries = decompose(rs, aff).entries
-        level = args.level
+    if args.tensor and args.level is not None:
+        raise ValueError("--tensor takes no --level")
+    if not args.tensor and args.level is None:
+        raise ValueError("--level is required unless --tensor is given")
+    # the tensor product is fusion at the stable level
+    aff = affinize(rs, mu, stable_level(rs, mu) if args.tensor else args.level)
+    entries = kac_walton_fusion(rs, aff) if args.method == "oracle" else decompose(rs, aff).entries
     lines = {format_weight(nu): mult for nu, mult in sorted(entries.items())}
     _emit(args, {
         "command": "fuse",
         "algebra": str(rs.algebra),
-        "level": level,
+        "level": args.level,
         "weight": list(mu),
         "method": args.method,
         "entries": lines,
@@ -170,6 +161,8 @@ def _b_table_lines() -> list[str]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.algebra is not None and (args.check or args.name != "nontrivial"):
+        raise ValueError("--algebra applies only to table nontrivial without --check")
     if args.check:
         bad, summary = TABLE_CHECKS[args.name]()
         for line in bad:
@@ -251,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuse = sub.add_parser("fuse", help="decompose theta (x) mu")
     fuse.add_argument("algebra", help="algebra name, e.g. A3 or g2")
-    fuse.add_argument("--weight", required=True, help="comma-separated Dynkin labels")
+    fuse.add_argument("--weight", required=True,
+                      help="comma-separated Dynkin labels; a negative first label needs --weight=-1,0")
     fuse.add_argument("--level", type=int, help="fusion level (omit with --tensor)")
     fuse.add_argument("--tensor", action="store_true", help="plain tensor product instead of fusion")
     fuse.add_argument("--method", choices=("rules", "oracle"), default="rules")

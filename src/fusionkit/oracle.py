@@ -1,16 +1,18 @@
 """Independent cross-check for the closed-form rules.
 
-Tensor products are recomputed from the adjoint weight system by reflecting
-shifted weights back into the dominant chamber and accumulating signs; fusion
-adds the single affine wall at (x, theta) = level + dual Coxeter number.
-Nothing here shares logic with the rule modules beyond the root-system data.
+theta (x) mu at level k is recomputed by Kac-Walton folding: each weight of the
+adjoint weight system is added to mu + rho and reflected into the shifted
+alcove, bounded by the finite walls and the affine wall (x, theta) = k + h^v,
+with the reflection signs summed.  The tensor product is the same sum at the
+stable level (theta, mu) + 2, where no shifted weight reaches the affine wall.
+Nothing here shares logic with the rule modules beyond the root-system data
+and the input checks of `weights`.
 """
 
 from __future__ import annotations
 
 from .algebra import RootSystem
-from .errors import LevelTooSmall
-from .weights import AffineWeight, Weight
+from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
 def adjoint_weight_system(rs: RootSystem) -> list[Weight]:
@@ -18,25 +20,6 @@ def adjoint_weight_system(rs: RootSystem) -> list[Weight]:
     out = [beta.labels for beta in rs.roots]
     out.extend([(0,) * rs.rank] * rs.rank)
     return out
-
-
-def finite_fold(rs: RootSystem, x: Weight) -> tuple[int, Weight | None]:
-    """Reflect the strictly-shifted weight x into the open chamber.
-
-    Returns (sign, folded) with sign in {+1, -1}, or (0, None) when x lands on
-    a wall and the orbit contributes nothing.
-    """
-    sign = 1
-    limit = 10 * len(rs.positive_roots)
-    for _ in range(limit):
-        worst = min(range(rs.rank), key=lambda i: x[i])
-        if x[worst] > 0:
-            return sign, x
-        if x[worst] == 0:
-            return 0, None
-        x = rs.reflect(x, worst)
-        sign = -sign
-    raise RuntimeError(f"folding did not terminate for {x}")
 
 
 def affine_fold(rs: RootSystem, x: Weight, level: int) -> tuple[int, Weight | None]:
@@ -65,29 +48,14 @@ def affine_fold(rs: RootSystem, x: Weight, level: int) -> tuple[int, Weight | No
 
 
 def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
-    """theta (x) mu as a tensor product, summed over the adjoint weight system."""
-    if any(v < 0 for v in mu):
-        raise ValueError(f"{mu} is not dominant")
-    acc: dict[Weight, int] = {}
-    for w in adjoint_weight_system(rs):
-        x = tuple(m + wi + 1 for m, wi in zip(mu, w))
-        sign, folded = finite_fold(rs, x)
-        if sign == 0:
-            continue
-        nu = tuple(f - 1 for f in folded)
-        acc[nu] = acc.get(nu, 0) + sign
-    if any(c < 0 for c in acc.values()):
-        raise RuntimeError(f"negative multiplicity in theta x {mu}: {acc}")
-    return {nu: c for nu, c in acc.items() if c != 0}
+    """theta (x) mu as a tensor product: folding at the stable level."""
+    return kac_walton_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
-def kac_walton_fusion(rs: RootSystem, mu: AffineWeight, level: int | None = None) -> dict[Weight, int]:
+def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
-    k = mu.level if level is None else level
-    if k < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {k}")
-    if any(v < 0 for v in mu.labels):
-        raise ValueError(f"{mu} is not dominant")
+    _check_affine(rs, mu, "affine weight")
+    k = mu.level
     acc: dict[Weight, int] = {}
     for w in adjoint_weight_system(rs):
         x = tuple(m + wi + 1 for m, wi in zip(mu.finite, w))

@@ -69,6 +69,12 @@ def _poly_eval(p, x):
     return total
 
 
+def _check_level(kind: str, algebra: AlgebraId, level: int, floor: int) -> None:
+    """The level guard of the counting routes, worded as `PiecewisePolynomial.evaluate`."""
+    if level < floor:
+        raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {floor}, got {level}")
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Quasi-polynomial in the level: one branch per residue of k mod period.
@@ -244,8 +250,7 @@ def _vacuum_counts(rs: RootSystem, level: int) -> list[int]:
 
 def zero_tadpole_enum(rs: RootSystem, level: int) -> int:
     """Vacuum tadpole = number of dominant affine weights at the level."""
-    if level < 0:
-        raise LevelTooSmall(f"level must be >= 0, got {level}")
+    _check_level("vacuum", rs.algebra, level, 0)
     return _vacuum_counts(rs, level)[level]
 
 
@@ -255,16 +260,14 @@ def adjoint_tadpole_enum(rs: RootSystem, level: int) -> int:
     A weight at level k with label x_i >= 1 is, with x_i lowered by one, a
     weight at level k - a_i, so T_theta(k) = sum_i T_0(k - a_i) - T_0(k).
     """
-    if level < 2:
-        raise LevelTooSmall(f"adjoint tadpole needs level >= 2, got {level}")
+    _check_level("adjoint", rs.algebra, level, 2)
     counts = _vacuum_counts(rs, level)
     return sum(counts[level - m] for m in rs.affine_comarks if m <= level) - counts[level]
 
 
 def zero_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Vacuum tadpole Tr N_0 = |P_k|, by listing the weights at the level."""
-    if level < 0:
-        raise LevelTooSmall(f"level must be >= 0, got {level}")
+    _check_level("vacuum", rs.algebra, level, 0)
     return sum(1 for _ in enumerate_level(rs, level))
 
 
@@ -272,8 +275,7 @@ def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
     from .oracle import kac_walton_fusion
 
-    if level < 2:
-        raise LevelTooSmall(f"adjoint tadpole needs level >= 2, got {level}")
+    _check_level("adjoint", rs.algebra, level, 2)
     total = 0
     for mu in enumerate_level(rs, level):
         total += kac_walton_fusion(rs, mu).get(mu.finite, 0)

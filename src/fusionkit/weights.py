@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import RootSystem
-from .errors import LevelTooSmall
+from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
 
 Weight = tuple[int, ...]
 
@@ -35,6 +35,31 @@ def affinize(rs: RootSystem, lam: Weight, level: int) -> AffineWeight:
     if zero < 0:
         raise LevelTooSmall(f"{lam} needs level >= {rs.theta_pairing(lam)}, got {level}")
     return AffineWeight(level, (zero,) + tuple(lam))
+
+
+def stable_level(rs: RootSystem, *weights: Weight) -> int:
+    """The lowest level at which fusion with theta is the tensor product, for every w.
+
+    theta (x) w holds w + theta at (theta, w) + 2, and no root beta has
+    (theta, beta) > 2, so at k = max (theta, w) + 2 no weight is dropped and
+    every zeroth label is >= 2.
+    """
+    return max(rs.theta_pairing(w) for w in weights) + 2
+
+
+def _check_dominant(lam: Weight, size: int, what: str) -> None:
+    if len(lam) != size:
+        raise AlgebraMismatch(f"{what} {lam} needs {size} labels")
+    if any(x < 0 for x in lam):
+        raise ValueError(f"{what} {lam} is not dominant")
+
+
+def _check_affine(rs: RootSystem, mu: AffineWeight, what: str) -> None:
+    if mu.level < 2:
+        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
+    _check_dominant(mu.labels, rs.rank + 1, what)
+    if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
+        raise LevelMismatch(f"{what} {mu.labels} does not lie at level {mu.level}")
 
 
 def enumerate_level(rs: RootSystem, level: int) -> Iterator[AffineWeight]:

@@ -107,6 +107,12 @@ def test_offdiag_errors():
         decompose(rs, AffineWeight(3, (1, 1, 1, 0)))
     with pytest.raises(LevelMismatch):
         decompose(rs, AffineWeight(2, (5, 0, 0)))
+    with pytest.raises(LevelMismatch):
+        decompose(rs, AffineWeight(3, (0, 2, 2)))
+    with pytest.raises(AlgebraMismatch):
+        decompose_tensor(rs, (1, 0, 0))
+    with pytest.raises(AlgebraMismatch):
+        offdiag_tensor(rs, (1, 0), (1,))
 
 
 SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")

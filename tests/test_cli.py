@@ -77,10 +77,24 @@ def test_level_errors(capsys):
     assert rc == 3 and "error:" in err
     rc, _, err = run(capsys, "tadpole", "A2", "--level", "1")
     assert rc == 3
-    for method in ("formula", "enum", "oracle", "all"):
-        rc, out, err = run(capsys, "tadpole", "A2", "--level", "-1", "--method", method)
-        assert (rc, out) == (3, ""), method
-        assert "error:" in err
+    for kind, noun in (((), "adjoint tadpole[A2] needs level >= 2"), (("--zero",), "vacuum tadpole[A2] needs level >= 0")):
+        for method in ("formula", "enum", "oracle", "all"):
+            rc, out, err = run(capsys, "tadpole", "A2", "--level", "-1", *kind, "--method", method)
+            assert (rc, out) == (3, ""), method
+            assert err == f"error: {noun}, got -1\n", method
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuse", "A2", "--weight", "1,1", "--tensor", "--level", "1"),
+    ("fuse", "A2", "--weight", "1,1", "--tensor", "--level", "4", "--method", "oracle"),
+    ("table", "b-tadpoles", "--check", "--algebra", "Q9"),
+    ("table", "g2-offdiag", "--algebra", "G2"),
+    ("table", "nontrivial", "--check", "--algebra", "A3", "--json"),
+])
+def test_unused_options_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tadpole_value(capsys):

@@ -34,6 +34,7 @@ def _matrix():
         ("fuse", "A2", "--weight", "one,two", "--level", "3", "--json"),
         ("fuse", "A2", "--weight", "2,2", "--level", "2"),
         ("fuse", "A2", "--weight", "0,0", "--level", "1", "--method", "oracle", "--json"),
+        ("fuse", "A2", "--weight", "1,1", "--tensor", "--level", "1"),
     ]
     for kind in ((), ("--zero",)):
         for method in ("formula", "enum", "oracle", "all"):
@@ -54,6 +55,7 @@ def _matrix():
     for algebra in ("G2", "A3", "B5"):
         for json_flag in ((), ("--json",)):
             cases.append(("table", "nontrivial", "--algebra", algebra, *json_flag))
+    cases.append(("table", "b-tadpoles", "--check", "--algebra", "Q9"))
     cases += [
         ("verify", "--max-rank", "2", "--max-level", "3"),
         ("verify", "--max-rank", "2", "--max-level", "3", "--json"),

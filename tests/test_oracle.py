@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from fusionkit import (
+    AffineWeight,
+    AlgebraMismatch,
+    LevelMismatch,
     LevelTooSmall,
     affinize,
     build,
@@ -13,7 +16,10 @@ from fusionkit import (
     kac_walton_fusion,
     racah_speiser_tensor,
 )
-from fusionkit.oracle import adjoint_weight_system, finite_fold
+from fusionkit.oracle import adjoint_weight_system
+from fusionkit.verify import algebras_up_to
+from fusionkit.weights import stable_level
+from oracle_reference import finite_fold, racah_speiser_finite
 
 
 def weyl_dimension(rs, lam):
@@ -95,6 +101,38 @@ def test_kac_walton_needs_level_two():
         kac_walton_fusion(a1, affinize(a1, (1,), 1))
     with pytest.raises(ValueError):
         kac_walton_fusion(a1, type(affinize(a1, (1,), 3))(3, (3, -1)))
+    a2 = build("A2")
+    with pytest.raises(AlgebraMismatch):
+        kac_walton_fusion(a2, AffineWeight(3, (1, 1, 1, 0)))
+    with pytest.raises(LevelMismatch):
+        kac_walton_fusion(a2, AffineWeight(2, (5, 0, 0)))
+    with pytest.raises(LevelMismatch):
+        kac_walton_fusion(a2, AffineWeight(3, (0, 2, 2)))
+    for malformed in ((1, 0, 0), (1,)):
+        with pytest.raises(AlgebraMismatch):
+            racah_speiser_tensor(a2, malformed)
+    with pytest.raises(ValueError, match=r"^\(0, -1\) is not dominant$"):
+        racah_speiser_tensor(a2, (0, -1))
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(4), ids=str)
+def test_stable_level_tensor_matches_finite_sum(algebra):
+    # at level (theta, mu) + 2 the affine wall is out of reach, so folding
+    # there is the finite Racah-Speiser sum
+    rs = build(algebra)
+    for mu in enumerate_level(rs, 4):
+        assert racah_speiser_tensor(rs, mu.finite) == racah_speiser_finite(rs, mu.finite)
+
+
+def test_stable_level_is_tight():
+    # one level lower, A2 (1,0) already loses (2,1): (theta, (2,1)) = 3
+    a2 = build("A2")
+    assert stable_level(a2, (1, 0)) == 3
+    tensor = racah_speiser_finite(a2, (1, 0))
+    assert tensor[(2, 1)] == 1
+    assert racah_speiser_tensor(a2, (1, 0)) == tensor
+    assert decompose_tensor(a2, (1, 0)).entries == tensor
+    assert (2, 1) not in kac_walton_fusion(a2, affinize(a2, (1, 0), 2))
 
 
 @pytest.mark.parametrize("name,level", [("A2", 4), ("B3", 3), ("C2", 5), ("G2", 4)])
