@@ -145,18 +145,20 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
 
 
 def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
-    """All root-string conditions that dominance does not already imply.
+    """All root-string conditions that dominance does not already imply, read
+    off the `rule_table` rows that `decompose` reads.
 
+    Row beta pins node i when t_i exceeds the dominance bound max(0, -beta_i).
     Nontriviality is sign-symmetric (d_i(-beta) = d_i(beta) + beta_i), so each
-    condition is recorded once on the positive root with both thresholds.
+    condition is recorded once on the positive root, with the thresholds of
+    rows beta and -beta.
     """
+    table = rule_table(rs.algebra)
     out = []
     for beta in rs.positive_roots:
-        for i in range(rs.rank):
-            dp = rs.string_depth(beta, i)
-            dm = rs.string_height(beta, i)  # = depth of -beta
-            if dp > max(0, -beta.labels[i]) or dm > max(0, beta.labels[i]):
-                out.append(NontrivialCondition(beta.coords, i, dp, dm))
+        plus, minus = table[beta.labels], table[(-beta).labels]
+        out += (NontrivialCondition(beta.coords, i, plus[1 + i], minus[1 + i])
+                for i in range(rs.rank) if plus[1 + i] > max(0, -beta.labels[i]))
     return tuple(sorted(out, key=lambda c: (c.root, c.index)))
 
 

@@ -276,11 +276,6 @@ class RootSystem:
         """Largest u with beta + u alpha_i a root."""
         return self.depth_weight(beta)[i]
 
-    def string_height(self, beta: Root, i: int) -> int:
-        """Largest u with beta - u alpha_i a root."""
-        # h - d = beta_i along the alpha_i string
-        return self.string_depth(beta, i) + beta.labels[i]
-
 
 # positive-root counts, used as a build-time sanity check
 _POSITIVE_COUNTS = {

@@ -90,14 +90,14 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_tadpole(args: argparse.Namespace) -> int:
     algebra = parse_algebra(args.algebra)
-    rs = build(algebra)
     # method -> (adjoint, vacuum); built per call so that a rebound module
-    # attribute (a test double, a tracing wrapper) is the one called
-    methods = {
-        "formula": (partial(adjoint_tadpole_formula, algebra), partial(zero_tadpole_formula, algebra)),
-        "enum": (partial(adjoint_tadpole_enum, rs), partial(zero_tadpole_enum, rs)),
-        "oracle": (partial(adjoint_tadpole_oracle, rs), partial(zero_tadpole_oracle, rs)),
-    }
+    # attribute (a test double, a tracing wrapper) is the one called.  Only
+    # the counting routes read the root system, so formula alone builds none.
+    methods = {"formula": (partial(adjoint_tadpole_formula, algebra), partial(zero_tadpole_formula, algebra))}
+    if args.method != "formula":
+        rs = build(algebra)
+        methods["enum"] = (partial(adjoint_tadpole_enum, rs), partial(zero_tadpole_enum, rs))
+        methods["oracle"] = (partial(adjoint_tadpole_oracle, rs), partial(zero_tadpole_oracle, rs))
     record = {"command": "tadpole", "algebra": str(algebra), "level": args.level,
               "kind": "zero" if args.zero else "adjoint"}
     if args.method == "all":

@@ -6,15 +6,18 @@ dominant affine weights at level k) and the adjoint tadpole (the sum of the
 diagonal coefficients of theta (x) mu over those weights).  Both are
 quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
-All polynomial arithmetic is exact over the rationals.
+The classical forms are the paper's sums of falling factorials in J, each
+evaluated exactly as one fraction over a factorial; the E6 forms are literal
+rows of rational coefficients, evaluated by Horner's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
+from typing import Callable
 
 from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
@@ -29,40 +32,8 @@ def falling_power(x, m: int):
     return out
 
 
-# polynomial coefficients, ascending, always Fractions
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_add(*polys):
-    size = max(len(p) for p in polys)
-    out = [Fraction(0)] * size
-    for p in polys:
-        for i, a in enumerate(p):
-            out[i] += a
-    return tuple(out)
-
-
-def _poly_scale(p, c):
-    c = Fraction(c)
-    return tuple(a * c for a in p)
-
-
-def _falling_poly(shift: int, m: int):
-    """(x + shift)^(m falling) as a polynomial in x."""
-    out = (Fraction(1),)
-    for j in range(m):
-        out = _poly_mul(out, (Fraction(shift - j), Fraction(1)))
-    return out
-
-
 def _poly_eval(p, x):
+    """Horner's rule on coefficients p in ascending powers of x."""
     total = Fraction(0)
     for a in reversed(p):
         total = total * x + a
@@ -79,14 +50,15 @@ def _check_level(kind: str, algebra: AlgebraId, level: int, floor: int) -> None:
 class PiecewisePolynomial:
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
-    Branch t is a polynomial in J where k = period * J + t.  `evaluate`
-    enforces the domain floor and integrality; `evaluate_raw` skips the floor
+    Branch t is a callable of J, where k = period * J + t, returning the exact
+    value (an int or a Fraction) of a polynomial in J.  `evaluate` enforces
+    the domain floor and integrality; `evaluate_raw` skips the floor
     (recurrence identities legitimately consume values below it).
     """
 
     name: str
     period: int
-    branches: tuple[tuple[Fraction, ...], ...]
+    branches: tuple[Callable[[int], Fraction], ...]
     min_level: int
 
     def branch_label(self, level: int) -> str:
@@ -97,7 +69,7 @@ class PiecewisePolynomial:
 
     def evaluate_raw(self, level: int) -> int:
         j, t = divmod(level, self.period)
-        value = _poly_eval(self.branches[t], j)
+        value = self.branches[t](j)
         if value.denominator != 1:
             raise RuntimeError(f"{self.name} at level {level} is {value}, not an integer")
         return int(value)
@@ -111,13 +83,14 @@ class PiecewisePolynomial:
         return value
 
 
-def _fractions(rows):
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)
+def _rows(rows):
+    """One branch per literal coefficient row, evaluated by Horner's rule."""
+    return tuple(partial(_poly_eval, tuple(map(Fraction, row))) for row in rows)
 
 
 # E6 branch coefficients (k = 6J + t, rows t = 0..5, ascending powers of J),
 # frozen after matching direct enumeration for k = 0..19.
-_E6_ADJOINT = _fractions((
+_E6_ADJOINT = _rows((
     ("-1", "-14/5", "54/5", "117/2", "189/2", "324/5", "81/5"),
     ("0", "9", "1191/20", "141", "621/4", "81", "81/5"),
     ("3", "423/10", "1593/10", "537/2", "459/2", "486/5", "81/5"),
@@ -126,7 +99,7 @@ _E6_ADJOINT = _fractions((
     ("117", "2766/5", "20871/20", "1011", "2133/4", "729/5", "81/5"),
 ))
 
-_E6_ZERO = _fractions((
+_E6_ZERO = _rows((
     ("1", "83/10", "551/20", "45", "153/4", "81/5", "27/10"),
     ("3", "427/20", "2277/40", "301/4", "423/8", "189/10", "27/10"),
     ("9", "242/5", "2091/20", "116", "279/4", "108/5", "27/10"),
@@ -136,51 +109,35 @@ _E6_ZERO = _fractions((
 ))
 
 
+# The classical forms are written as in the paper, with (x)_m =
+# falling_power(x, m) and J the branch variable j; terms over different
+# factorials are brought over the largest one.
+
+
 @lru_cache(maxsize=None)
 def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
     name = f"adjoint tadpole[{algebra}]"
     if f in ("A", "C"):
-        # (k - 1) (k + r - 1)^(r-1 falling) / (r-1)!
-        branch = _poly_scale(
-            _poly_mul((Fraction(-1), Fraction(1)), _falling_poly(r - 1, r - 1)),
-            Fraction(1, factorial(r - 1)),
-        )
-        return PiecewisePolynomial(name, 1, (branch,), 2)
+        return PiecewisePolynomial(name, 1, (
+            lambda j: Fraction((j - 1) * falling_power(j + r - 1, r - 1), factorial(r - 1)),
+        ), 2)
     if f == "B":
-        even = _poly_scale(
-            _poly_add(
-                _poly_scale(_falling_poly(r - 1, r), 4),
-                _poly_scale(_falling_poly(r - 2, r - 1), -3 * (r - 1)),
-                _poly_scale(_falling_poly(r - 1, r - 1), -1),
-            ),
-            Fraction(1, factorial(r - 1)),
-        )
-        odd = _poly_scale(
-            _poly_add(
-                _poly_scale(_falling_poly(r - 1, r), 4),
-                _poly_scale(_falling_poly(r - 2, r - 1), -(r - 2)),
-            ),
-            Fraction(1, factorial(r - 1)),
-        )
-        return PiecewisePolynomial(name, 2, (even, odd), 2)
+        return PiecewisePolynomial(name, 2, (
+            lambda j: Fraction(4 * falling_power(j + r - 1, r) - 3 * (r - 1) * falling_power(j + r - 2, r - 1)
+                               - falling_power(j + r - 1, r - 1), factorial(r - 1)),
+            lambda j: Fraction(4 * falling_power(j + r - 1, r) - (r - 2) * falling_power(j + r - 2, r - 1),
+                               factorial(r - 1)),
+        ), 2)
     if f == "D":
-        even = _poly_add(
-            _poly_scale(
-                _poly_mul((Fraction(0), Fraction(8)), _falling_poly(r - 2, r - 1)),
-                Fraction(1, factorial(r - 1)),
-            ),
-            _poly_scale(_falling_poly(r - 3, r - 2), Fraction(r - 4, factorial(r - 2))),
-            _poly_scale(_falling_poly(r - 3, r - 3), Fraction(-1, factorial(r - 3))),
-        )
-        odd = _poly_scale(
-            _poly_add(
-                _poly_scale(_falling_poly(r - 2, r), 8),
-                _poly_scale(_falling_poly(r - 2, r - 1), 4 * (r + 2)),
-            ),
-            Fraction(1, factorial(r - 1)),
-        )
-        return PiecewisePolynomial(name, 2, (even, odd), 2)
+        # even: 8J (J+r-2)_{r-1} / (r-1)! + (r-4) (J+r-3)_{r-2} / (r-2)! - (J+r-3)_{r-3} / (r-3)!
+        return PiecewisePolynomial(name, 2, (
+            lambda j: Fraction(8 * j * falling_power(j + r - 2, r - 1) + (r - 1) * (
+                (r - 4) * falling_power(j + r - 3, r - 2) - (r - 2) * falling_power(j + r - 3, r - 3)
+            ), factorial(r - 1)),
+            lambda j: Fraction(8 * falling_power(j + r - 2, r) + 4 * (r + 2) * falling_power(j + r - 2, r - 1),
+                               factorial(r - 1)),
+        ), 2)
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ADJOINT, 2)
     raise NoClosedForm(f"no closed-form adjoint tadpole for {algebra}")
@@ -191,28 +148,20 @@ def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
     name = f"vacuum tadpole[{algebra}]"
     if f in ("A", "C"):
-        branch = _poly_scale(_falling_poly(r, r), Fraction(1, factorial(r)))
-        return PiecewisePolynomial(name, 1, (branch,), 0)
+        return PiecewisePolynomial(name, 1, (lambda j: Fraction(falling_power(j + r, r), factorial(r)),), 0)
     if f == "B":
-        even = _poly_scale(
-            _poly_add(_falling_poly(r, r), _poly_scale(_falling_poly(r - 1, r), 3)),
-            Fraction(1, factorial(r)),
-        )
-        odd = _poly_scale(
-            _poly_add(_poly_scale(_falling_poly(r, r), 3), _falling_poly(r - 1, r)),
-            Fraction(1, factorial(r)),
-        )
-        return PiecewisePolynomial(name, 2, (even, odd), 0)
+        return PiecewisePolynomial(name, 2, (
+            lambda j: Fraction(falling_power(j + r, r) + 3 * falling_power(j + r - 1, r), factorial(r)),
+            lambda j: Fraction(3 * falling_power(j + r, r) + falling_power(j + r - 1, r), factorial(r)),
+        ), 0)
     if f == "D":
-        even = _poly_add(
-            _poly_scale(_falling_poly(r - 1, r), Fraction(8, factorial(r))),
-            _poly_scale(_falling_poly(r - 2, r - 2), Fraction(1, factorial(r - 2))),
-        )
-        odd = _poly_add(
-            _poly_scale(_falling_poly(r - 1, r), Fraction(8, factorial(r))),
-            _poly_scale(_falling_poly(r - 1, r - 1), Fraction(4, factorial(r - 1))),
-        )
-        return PiecewisePolynomial(name, 2, (even, odd), 0)
+        # even: 8 (J+r-1)_r / r! + (J+r-2)_{r-2} / (r-2)!;  odd: 8 (J+r-1)_r / r! + 4 (J+r-1)_{r-1} / (r-1)!
+        return PiecewisePolynomial(name, 2, (
+            lambda j: Fraction(8 * falling_power(j + r - 1, r) + r * (r - 1) * falling_power(j + r - 2, r - 2),
+                               factorial(r)),
+            lambda j: Fraction(8 * falling_power(j + r - 1, r) + 4 * r * falling_power(j + r - 1, r - 1),
+                               factorial(r)),
+        ), 0)
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ZERO, 0)
     raise NoClosedForm(f"no closed-form vacuum tadpole for {algebra}")

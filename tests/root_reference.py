@@ -5,8 +5,8 @@ Roots come from closing the simple roots under the simple reflections; string
 depths come from scanning beta + u alpha_i for u = 1..4 against that set; the
 quadratic form comes from inverting the Cartan matrix.
 
-It also holds the root look-ups and the shifted reflection that only the
-tests need, as functions of a built `RootSystem`.
+It also holds the root look-ups, the string heights and the shifted
+reflection that only the tests need, as functions of a built `RootSystem`.
 """
 
 from fractions import Fraction
@@ -93,6 +93,11 @@ def is_root(rs, coords):
 def root_from_labels(rs, labels):
     """The root of rs with these Dynkin labels, or None."""
     return _root_index(rs)[1].get(tuple(labels))
+
+
+def string_height(rs, beta, i):
+    """Largest u with beta - u alpha_i a root: h - d = beta_i along the alpha_i string."""
+    return rs.string_depth(beta, i) + beta.labels[i]
 
 
 def simple_root(rs, i):

@@ -36,7 +36,7 @@ from fusionkit.verify import (
     check_rules_vs_oracle,
     condition_algebras,
 )
-from root_reference import simple_root
+from root_reference import simple_root, string_height
 
 
 @contextmanager
@@ -203,7 +203,7 @@ def test_criterion_7_structural_invariants():
                             if tuple(c - u * a for c, a in zip(beta.coords, alpha.coords)) in coords_set]
                     depth, height = max(up), max(down)
                     assert depth == rs.string_depth(beta, i)
-                    assert height == rs.string_height(beta, i)
+                    assert height == string_height(rs, beta, i)
                     assert height - depth == beta.labels[i]
                     assert len(up) + len(down) - 1 <= 4  # u = 0 counted twice
                     if depth > max(0, -beta.labels[i]):

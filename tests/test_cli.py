@@ -150,6 +150,18 @@ def test_tadpole_json(capsys):
                       "kind": "adjoint", "method": "formula", "value": 45}
 
 
+def test_tadpole_formula_builds_no_root_system(capsys, monkeypatch):
+    # the closed form reads only the algebra name; building B50 alone takes most of a second
+    def refuse(algebra):
+        raise RuntimeError(f"build({algebra}) called")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    assert run(capsys, "tadpole", "B3", "--level", "5") == (0, "45\n", "")
+    assert run(capsys, "tadpole", "B3", "--level", "5", "--zero") == (0, "34\n", "")
+    with pytest.raises(RuntimeError, match="build"):
+        run(capsys, "tadpole", "B3", "--level", "5", "--method", "enum")
+
+
 def test_table_b_check(capsys):
     rc, out, _ = run(capsys, "table", "b-tadpoles", "--check")
     assert rc == 0

@@ -21,7 +21,7 @@ from fusionkit import (
     zero_tadpole_formula,
     zero_tadpole_polynomial,
 )
-from fusionkit.tadpole import b_table_check
+from fusionkit.tadpole import _vacuum_counts, b_table_check
 from fusionkit.verify import algebras_up_to
 from fusionkit.weights import nonzero_affine_labels
 
@@ -175,3 +175,31 @@ def test_zero_polynomial_period_matches_comark_lcm():
     assert zero_tadpole_polynomial(AlgebraId("B", 4)).period == 2
     assert zero_tadpole_polynomial(AlgebraId("D", 5)).period == 2
     assert zero_tadpole_polynomial(AlgebraId("E", 6)).period == 6
+
+
+@pytest.mark.parametrize("algebra", IDENTITY_CASES, ids=str)
+def test_closed_forms_satisfy_reciprocity(algebra):
+    # Ehrhart-Macdonald reciprocity for the denumerant of the r + 1 affine comarks,
+    # T_0(-k - h) = (-1)^r T_0(k), and through the shifted sum
+    # T_theta(-k - h) = (-1)^r [sum_i T_0(k + a_i) - T_0(k)]; the branches run at negative J
+    adjoint = adjoint_tadpole_polynomial(algebra)
+    zero = zero_tadpole_polynomial(algebra)
+    rs = build(algebra)
+    h, sign = rs.dual_coxeter, (-1) ** algebra.rank
+    for k in range(40):
+        assert zero.evaluate_raw(-k - h) == sign * zero.evaluate_raw(k), k
+        shifted = sum(zero.evaluate_raw(k + m) for m in rs.affine_comarks)
+        assert adjoint.evaluate_raw(-k - h) == sign * (shifted - zero.evaluate_raw(k)), k
+
+
+@pytest.mark.parametrize("name", [f"{family}{r}" for r in (20, 30) for family in "ABCD"])
+def test_high_rank_closed_forms_match_the_counting_array(name):
+    # one array of T_0 up to level 300; T_theta comes from the same array by the
+    # shifted sum T_theta(k) = sum_i T_0(k - a_i) - T_0(k)
+    rs = build(name)
+    counts = _vacuum_counts(rs, 300)
+    for k in range(301):
+        assert zero_tadpole_formula(rs.algebra, k) == counts[k], k
+        if k >= 2:
+            shifted = sum(counts[k - m] for m in rs.affine_comarks if m <= k)
+            assert adjoint_tadpole_formula(rs.algebra, k) == shifted - counts[k], k
