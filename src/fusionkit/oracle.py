@@ -3,44 +3,39 @@
 theta (x) mu at level k is recomputed by Kac-Walton folding: each weight of the
 adjoint weight system is added to mu + rho and reflected into the shifted
 alcove, bounded by the finite walls and the affine wall (x, theta) = k + h^v,
-with the reflection signs summed.  The tensor product is the same sum at the
-stable level (theta, mu) + 2, where no shifted weight reaches the affine wall.
-Nothing here shares logic with the rule modules beyond the root-system data
-and the input checks of `weights`.
+with the reflection signs summed.  The r zero weights all shift to mu + rho, so
+that point is folded once and its sign counted r times.  The tensor product is
+the same sum at the stable level (theta, mu) + 2, where no shifted weight
+reaches the affine wall.  Nothing here shares logic with the rule modules
+beyond the root-system data and the input checks of `weights`.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
-def adjoint_weight_system(rs: RootSystem) -> list[Weight]:
-    """Weights of the adjoint representation, with multiplicity (zero r times)."""
-    out = [beta.labels for beta in rs.roots]
-    out.extend([(0,) * rs.rank] * rs.rank)
-    return out
-
-
-def affine_fold(rs: RootSystem, x: Weight, level: int) -> tuple[int, Weight | None]:
-    """Fold x into the shifted affine alcove at the given level."""
+def affine_fold(rs: RootSystem, x: list[int], level: int) -> tuple[int, list[int] | None]:
+    """Fold x into the shifted affine alcove at the given level: (sign, folded) or (0, None)."""
+    cartan, comarks, theta = rs.cartan, rs.comarks, rs.highest_root.labels
     wall = level + rs.dual_coxeter
     sign = 1
-    limit = 10 * len(rs.positive_roots) * (level + rs.dual_coxeter)
-    for _ in range(limit):
-        worst = min(range(rs.rank), key=lambda i: x[i])
-        if x[worst] < 0:
-            x = rs.reflect(x, worst)
+    for _ in range(10 * len(rs.positive_roots) * wall):
+        worst = min(x)
+        if worst < 0:
+            x = [a - worst * c for a, c in zip(x, cartan[x.index(worst)])]
             sign = -sign
             continue
-        if x[worst] == 0:
+        if worst == 0:
             return 0, None
-        s = rs.theta_pairing(x)
-        if s == wall:
+        over = sum(map(mul, comarks, x)) - wall
+        if over == 0:
             return 0, None
-        if s > wall:
-            theta = rs.highest_root.labels
-            x = tuple(a - (s - wall) * t for a, t in zip(x, theta))
+        if over > 0:
+            x = [a - over * t for a, t in zip(x, theta)]
             sign = -sign
             continue
         return sign, x
@@ -56,14 +51,17 @@ def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu, "affine weight")
     k = mu.level
+    shifted = [m + 1 for m in mu.finite]
+    # (point, how many adjoint weights shift to it): the roots, then the r zeros
+    points = [(list(map(add, shifted, beta.labels)), 1) for beta in rs.roots]
+    points.append((shifted, rs.rank))
     acc: dict[Weight, int] = {}
-    for w in adjoint_weight_system(rs):
-        x = tuple(m + wi + 1 for m, wi in zip(mu.finite, w))
+    for x, times in points:
         sign, folded = affine_fold(rs, x, k)
         if sign == 0:
             continue
         nu = tuple(f - 1 for f in folded)
-        acc[nu] = acc.get(nu, 0) + sign
+        acc[nu] = acc.get(nu, 0) + sign * times
     for nu, c in acc.items():
         if c < 0 or rs.theta_pairing(nu) > k:
             raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {k}")

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,11 @@ from fusionkit import (
     kac_walton_fusion,
     racah_speiser_tensor,
 )
-from fusionkit.oracle import adjoint_weight_system
+from fusionkit import oracle
 from fusionkit.verify import algebras_up_to
 from fusionkit.weights import stable_level
-from oracle_reference import finite_fold, racah_speiser_finite
+from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
+from oracle_reference import kac_walton_fusion as reference_fusion
 
 
 def weyl_dimension(rs, lam):
@@ -153,3 +156,75 @@ def test_rules_equal_oracle_spot(name, level):
     rs = build(name)
     for mu in enumerate_level(rs, level):
         assert decompose(rs, mu).entries == kac_walton_fusion(rs, mu)
+
+
+@pytest.mark.parametrize("x,want", [
+    ([5], (0, None)),   # on the affine wall: (x, theta) = k + h^v = 5
+    ([6], (-1, [4])),   # beyond it: reflected back across the affine wall
+    ([-1], (-1, [1])),  # beyond a finite wall: the simple reflection
+    ([0], (0, None)),   # on a finite wall
+    ([3], (1, [3])),    # inside the shifted alcove
+])
+def test_affine_fold_branches(x, want):
+    sign, folded = oracle.affine_fold(build("A1"), x, 3)
+    assert (sign, None if folded is None else list(folded)) == want
+
+
+def _identity_grid():
+    for algebra in algebras_up_to(4):
+        for level in range(2, 7):
+            yield build(algebra), level
+    for name in ("E6", "E7", "E8"):
+        for level in (2, 3):
+            yield build(name), level
+    yield build("F4"), 8
+    yield build("G2"), 20
+
+
+def test_oracle_equals_reference_fold():
+    # the list fold, with mu + rho folded once for the r zero weights, returns
+    # exactly what one tuple fold per adjoint weight returns
+    checked = 0
+    for rs, level in _identity_grid():
+        for mu in enumerate_level(rs, level):
+            assert kac_walton_fusion(rs, mu) == reference_fusion(rs, mu), (rs.algebra, mu)
+            checked += 1
+    assert checked == 2505
+    for algebra in algebras_up_to(4):
+        rs = build(algebra)
+        rng = random.Random(f"tensor:{algebra}")
+        for _ in range(20):
+            mu = tuple(rng.randint(0, 3) for _ in range(rs.rank))
+            want = reference_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
+            assert racah_speiser_tensor(rs, mu) == want, (algebra, mu)
+
+
+_RULE_NAMES = {"rule_table", "string_depth", "depth_weight", "_depths", "nontrivial_conditions", "decompose"}
+
+
+def _package_imports(tree):
+    """Modules of fusionkit that a module imports, relative ones by their bare name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                yield from [node.module] if node.module else [alias.name for alias in node.names]
+            elif node.module.partition(".")[0] == "fusionkit":
+                yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.partition(".")[0] == "fusionkit")
+
+
+def test_oracle_shares_nothing_with_the_rules():
+    # the oracle checks the rules, so it may read the root-system data and
+    # the input checks, but none of the rule machinery
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert set(_package_imports(tree)) == {"algebra", "weights"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert named & _RULE_NAMES == set()
