@@ -84,7 +84,7 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
     for beta in rs.roots:
         t0 = max(0, rs.theta_pairing(beta.labels))
         table[beta.labels] = (t0,) + tuple(
-            max(0, -beta.labels[i], rs.string_depth(beta, i)) for i in range(rs.rank)
+            max(0, -label, depth) for label, depth in zip(beta.labels, rs.depth_weight(beta))
         )
     return MappingProxyType(table)
 

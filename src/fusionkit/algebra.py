@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * Roots are stored as integer coordinate vectors in the simple-root basis.
   The labels of ``beta = sum_j c_j alpha_j`` are ``beta_i = sum_j c_j A[j][i]``
   (column sums against the Cartan matrix).
-* The bilinear form is normalised so long roots have ``(beta, beta) = 2``.
+* No bilinear form is built.  The one pairing the package reads is
+  ``(lambda, theta) = sum_i a_i^vee lambda_i`` (``RootSystem.theta_pairing``),
+  in the normalisation where long roots have ``(beta, beta) = 2``; the full
+  form is a cross-check in ``tests/root_reference.py``.
 """
 
 from __future__ import annotations
@@ -54,13 +57,26 @@ class AlgebraId:
         return f"{self.family}{self.rank}"
 
 
+def integer(text: str) -> int:
+    """Read an integer typed as ASCII digits with an optional leading ``-``.
+
+    The one check for every integer read from outside: unlike ``int``, it
+    refuses ``+``, ``_`` separators, blanks and non-ASCII digits.  (Its name
+    is the one argparse prints when it refuses a value.)
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_algebra(text: str) -> AlgebraId:
     """Parse names like ``"B4"`` or ``"g2"`` (case-insensitive)."""
     text = text.strip()
     if len(text) < 2 or text[0].upper() not in FAMILIES:
         raise InvalidRank(f"cannot parse algebra name {text!r}")
     try:
-        rank = int(text[1:])
+        rank = integer(text[1:])
     except ValueError:
         raise InvalidRank(f"cannot parse algebra name {text!r}") from None
     return AlgebraId(text[0].upper(), rank)
@@ -208,31 +224,8 @@ class RootSystem:
         self.comarks = tuple(int(c) for c in comarks)
         self.affine_comarks = (1,) + self.comarks
         self.dual_coxeter = 1 + sum(self.comarks)
-        # quadratic form on weight space: (lambda, mu) = sum F_ij lambda_i mu_j.
-        # (omega_i, beta) = d_i c_i(beta), and sum_{beta > 0} (lambda, beta) (mu, beta)
-        # = h^vee (lambda, mu), so F_ij = d_i d_j sum_{beta > 0} c_i(beta) c_j(beta) / h^vee.
-        d = self.symmetrizer
-        self.quadratic_form = tuple(
-            tuple(
-                d[i] * d[j] * sum(b.coords[i] * b.coords[j] for b in self.positive_roots) / self.dual_coxeter
-                for j in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
 
-    # --- bilinear form -------------------------------------------------
-
-    def inner_product(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
-        """(lambda, mu) for weights given by Dynkin labels."""
-        if len(lam) != self.rank or len(mu) != self.rank:
-            raise AlgebraMismatch(f"expected weights of length {self.rank}")
-        total = Fraction(0)
-        for i in range(self.rank):
-            if lam[i] == 0:
-                continue
-            row = self.quadratic_form[i]
-            total += lam[i] * sum(row[j] * mu[j] for j in range(self.rank) if mu[j] != 0)
-        return total
+    # --- pairing with theta ---------------------------------------------
 
     def theta_pairing(self, lam: tuple[int, ...]) -> int:
         """(lambda, theta) = sum of comark-weighted labels; always an integer."""
@@ -253,16 +246,6 @@ class RootSystem:
             raise NotARoot(f"{coords} is not a root of {self.algebra}")
         return Root(coords, self.labels_of(coords))
 
-    # --- Weyl group -----------------------------------------------------
-
-    def reflect(self, lam: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """r_i(lambda) = lambda - lambda_i alpha_i, acting on labels."""
-        li = lam[i]
-        if li == 0:
-            return lam
-        row = self.cartan[i]
-        return tuple(x - li * row[j] for j, x in enumerate(lam))
-
     # --- root strings ----------------------------------------------------
 
     def depth_weight(self, beta: Root) -> tuple[int, ...]:
@@ -271,10 +254,6 @@ class RootSystem:
         if depths is None:
             raise NotARoot(f"{beta.coords} is not a root of {self.algebra}")
         return depths
-
-    def string_depth(self, beta: Root, i: int) -> int:
-        """Largest u with beta + u alpha_i a root."""
-        return self.depth_weight(beta)[i]
 
 
 # positive-root counts, used as a build-time sanity check
@@ -294,11 +273,9 @@ def _build(algebra: AlgebraId) -> RootSystem:
     rs = RootSystem(algebra)
     if len(rs.positive_roots) != _POSITIVE_COUNTS[algebra.family](algebra.rank):
         raise RuntimeError(f"{algebra}: wrong number of positive roots")
-    th = rs.highest_root.labels
-    if rs.inner_product(th, th) != 2:
+    # (theta, theta) = sum_i a_i^vee theta_i
+    if rs.theta_pairing(rs.highest_root.labels) != 2:
         raise RuntimeError(f"{algebra}: highest root does not have length 2")
-    if rs.quadratic_form != tuple(zip(*rs.quadratic_form)):
-        raise RuntimeError(f"{algebra}: quadratic form is not symmetric")
     return rs
 
 

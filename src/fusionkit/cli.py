@@ -19,7 +19,7 @@ from .adjoint_rules import (
     nontrivial_conditions,
     reference_nontrivial_conditions,
 )
-from .algebra import build, parse_algebra
+from .algebra import build, integer, parse_algebra
 from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .tadpole import (
@@ -214,9 +214,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _threads_from_env() -> int:
     """FUSIONKIT_THREADS as a worker count: an integer >= 1, capped at the CPU count."""
     text = os.environ.get("FUSIONKIT_THREADS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
+    try:
+        threads = integer(text.strip())
+    except ValueError:
+        threads = 0
+    if threads < 1:
         raise ValueError(f"FUSIONKIT_THREADS must be an integer >= 1, got {text!r}")
-    return min(int(text), os.cpu_count() or 1)
+    return min(threads, os.cpu_count() or 1)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -246,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("algebra", help="algebra name, e.g. A3 or g2")
     fuse.add_argument("--weight", required=True,
                       help="comma-separated Dynkin labels; a negative first label needs --weight=-1,0")
-    fuse.add_argument("--level", type=int, help="fusion level (omit with --tensor)")
+    fuse.add_argument("--level", type=integer, help="fusion level (omit with --tensor)")
     fuse.add_argument("--tensor", action="store_true", help="plain tensor product instead of fusion")
     fuse.add_argument("--method", choices=("rules", "oracle"), default="rules")
     fuse.add_argument("--json", action="store_true")
@@ -254,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tad = sub.add_parser("tadpole", help="tadpole sums at a level")
     tad.add_argument("algebra")
-    tad.add_argument("--level", type=int, required=True)
+    tad.add_argument("--level", type=integer, required=True)
     tad.add_argument("--zero", action="store_true", help="vacuum tadpole instead of adjoint")
     tad.add_argument("--method", choices=("formula", "enum", "oracle", "all"), default="formula")
     tad.add_argument("--json", action="store_true")
@@ -268,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     ver = sub.add_parser("verify", help="run consistency sweeps")
-    ver.add_argument("--max-rank", type=int, default=4)
-    ver.add_argument("--max-level", type=int, default=6)
+    ver.add_argument("--max-rank", type=integer, default=4)
+    ver.add_argument("--max-level", type=integer, default=6)
     ver.add_argument("--suite", choices=("all",) + ALL_SUITES, default="all")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=_cmd_verify)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import RootSystem
+from .algebra import RootSystem, integer
 from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
 
 Weight = tuple[int, ...]
@@ -85,7 +85,7 @@ def parse_weight(text: str) -> Weight:
     """Parse "1,0,2" into (1, 0, 2)."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(integer(p) for p in parts)
     except ValueError:
         raise ValueError(f"cannot parse weight {text!r}") from None
 

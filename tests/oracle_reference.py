@@ -10,6 +10,8 @@ times), and the theta pairing through `RootSystem.theta_pairing`.
 
 from fusionkit.weights import _check_affine
 
+from root_reference import reflect
+
 
 def adjoint_weight_system(rs):
     """Weights of the adjoint representation, with multiplicity (zero r times)."""
@@ -32,7 +34,7 @@ def finite_fold(rs, x):
             return sign, x
         if x[worst] == 0:
             return 0, None
-        x = rs.reflect(x, worst)
+        x = reflect(rs, x, worst)
         sign = -sign
     raise RuntimeError(f"folding did not terminate for {x}")
 
@@ -62,7 +64,7 @@ def affine_fold(rs, x, level):
     for _ in range(limit):
         worst = min(range(rs.rank), key=lambda i: x[i])
         if x[worst] < 0:
-            x = rs.reflect(x, worst)
+            x = reflect(rs, x, worst)
             sign = -sign
             continue
         if x[worst] == 0:

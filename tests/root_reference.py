@@ -2,11 +2,16 @@
 of the layered generator in `fusionkit.algebra`.
 
 Roots come from closing the simple roots under the simple reflections; string
-depths come from scanning beta + u alpha_i for u = 1..4 against that set; the
-quadratic form comes from inverting the Cartan matrix.
+depths come from scanning beta + u alpha_i for u = 1..4 against that set.
 
-It also holds the root look-ups, the string heights and the shifted
-reflection that only the tests need, as functions of a built `RootSystem`.
+`fusionkit` builds no bilinear form: the package reads only the pairing with
+theta.  The full quadratic form lives here, by two routes compared against
+each other: the inverse Cartan matrix, and the Killing-form identity summed
+over the positive roots of a built `RootSystem`.
+
+It also holds the inner product, the root look-ups, the string heights and
+the plain and shifted reflections that only the tests need, as functions of
+a built `RootSystem`.
 """
 
 from fractions import Fraction
@@ -79,6 +84,26 @@ def quadratic_form(cartan, symmetrizer):
     return tuple(tuple(symmetrizer[i] * inv[j][i] for j in range(r)) for i in range(r))
 
 
+def killing_quadratic_form(rs):
+    """(omega_i, omega_j) from the Killing-form identity.
+
+    (omega_i, beta) = d_i c_i(beta), and sum_{beta > 0} (lambda, beta) (mu, beta)
+    = h^vee (lambda, mu), so F_ij = d_i d_j sum_{beta > 0} c_i(beta) c_j(beta) / h^vee.
+    """
+    d, r = rs.symmetrizer, rs.rank
+    return tuple(
+        tuple(d[i] * d[j] * sum(b.coords[i] * b.coords[j] for b in rs.positive_roots) / rs.dual_coxeter
+              for j in range(r))
+        for i in range(r)
+    )
+
+
+def inner_product(rs, lam, mu):
+    """(lambda, mu) for weights of rs given by Dynkin labels."""
+    form = quadratic_form(rs.cartan, rs.symmetrizer)
+    return sum(lam[i] * form[i][j] * mu[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
 @lru_cache(maxsize=None)
 def _root_index(rs):
     """The coordinates of every root of rs, and its roots keyed by Dynkin labels."""
@@ -97,12 +122,19 @@ def root_from_labels(rs, labels):
 
 def string_height(rs, beta, i):
     """Largest u with beta - u alpha_i a root: h - d = beta_i along the alpha_i string."""
-    return rs.string_depth(beta, i) + beta.labels[i]
+    return rs.depth_weight(beta)[i] + beta.labels[i]
 
 
 def simple_root(rs, i):
     coords = tuple(int(i == j) for j in range(rs.rank))
     return Root(coords, tuple(rs.cartan[i]))
+
+
+def reflect(rs, lam, i):
+    """r_i(lambda) = lambda - lambda_i alpha_i, acting on labels."""
+    li = lam[i]
+    row = rs.cartan[i]
+    return tuple(x - li * row[j] for j, x in enumerate(lam))
 
 
 def shifted_reflect(rs, lam, i):

@@ -236,7 +236,7 @@ def test_f4_string_rows_regenerate():
         # the string pinches exactly these roots: label 0 at i but depth 1
         beta = rs.root_at(coords)
         assert beta.labels[i] == 0
-        assert rs.string_depth(beta, i) == 1
+        assert rs.depth_weight(beta)[i] == 1
 
 
 def test_f4_table_lists_exactly_the_nontrivial_roots():

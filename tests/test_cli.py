@@ -62,6 +62,17 @@ def test_fuse_oracle_method_agrees(capsys):
     ("fuse", "A2", "--weight", "one,two", "--level", "3"),
     ("table", "nontrivial"),
     ("bogus",),
+    # integers are ASCII digits with an optional leading '-', nothing else int() reads
+    ("fuse", "A2", "--weight", "1_0,1", "--level", "30"),
+    ("fuse", "A2", "--weight", "1,1", "--level", "1_0"),
+    ("tadpole", "A1_0", "--level", "4", "--zero"),
+    ("tadpole", "A+3", "--level", "4"),
+    ("tadpole", "E 8", "--level", "4"),
+    ("tadpole", "A\u0663", "--level", "4"),
+    ("tadpole", "A3", "--level", "+4"),
+    ("tadpole", "A3", "--level", "\u0664"),
+    ("verify", "--max-rank", "1_0"),
+    ("verify", "--max-level", "+3"),
 ])
 def test_usage_errors(capsys, argv):
     rc, _, _ = run(capsys, *argv)
@@ -259,7 +270,10 @@ def test_verify_refuses_empty_suites(capsys, argv, code):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("value,threads", [("two", None), ("0", None), ("-3", None), ("1", 1), ("8", 1)])
+@pytest.mark.parametrize("value,threads", [
+    ("two", None), ("0", None), ("-3", None), ("+2", None), ("1_0", None), ("\u0663", None), ("", None),
+    ("1", 1), ("8", 1), (" 2 ", 1),
+])
 def test_verify_threads_validated_and_capped(capsys, monkeypatch, value, threads):
     # one CPU, and run_verify only records its worker count: nothing is started
     seen = []

@@ -44,3 +44,24 @@ def test_non_integral_polynomial_raises_under_optimize():
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def test_theta_guard_raises_under_optimize():
+    # B3 has theta = (0, 1, 0) and comarks (1, 2, 1); with every comark 1 the
+    # pairing gives (theta, theta) = 1, which the build must refuse
+    code = (
+        "from fusionkit import algebra\n"
+        "class Tampered(algebra.RootSystem):\n"
+        "    def __init__(self, a):\n"
+        "        super().__init__(a)\n"
+        "        self.comarks = (1,) * self.rank\n"
+        "algebra.RootSystem = Tampered\n"
+        "try:\n"
+        "    algebra._build.__wrapped__(algebra.AlgebraId('B', 3))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "B3: highest root does not have length 2"

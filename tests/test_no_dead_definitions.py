@@ -1,5 +1,6 @@
 """No module of the package defines a private top-level name (`_name`) that
-nothing in the package refers to."""
+nothing in the package refers to, and `RootSystem` has no method that nothing
+in the package calls: a method only the tests need belongs in `tests/`."""
 
 import ast
 from pathlib import Path
@@ -35,9 +36,24 @@ def _references(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_private_definition_is_referenced():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     used = {name for tree in trees.values() for name in _references(tree)}
     dead = [f"{module}:{line} {name}" for module, tree in trees.items()
             for name, line in _private_definitions(tree) if name not in used]
     assert dead == []
+
+
+def test_every_root_system_method_is_called():
+    trees = _trees()
+    cls = next(node for node in trees["algebra.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "RootSystem")
+    methods = {node.name for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    called = {node.func.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert methods and sorted(methods - called) == []

@@ -52,8 +52,15 @@ def test_parse_and_format():
     assert parse_weight("1,0,2") == (1, 0, 2)
     assert parse_weight(" 3 , 4 ") == (3, 4)
     assert format_weight((1, 0, 2)) == "1,0,2"
+    assert parse_weight("-1,0") == (-1, 0)
     with pytest.raises(ValueError):
         parse_weight("1,x")
+
+
+@pytest.mark.parametrize("bad", ["1_0,1", "+1,0", "1,\u0663", "1,", "-,1", "--1,0"])
+def test_parse_weight_takes_ascii_digits_only(bad):
+    with pytest.raises(ValueError, match="cannot parse weight"):
+        parse_weight(bad)
 
 
 def test_affine_str():
