@@ -1,20 +1,15 @@
 """Exact adjoint fusion rules and fusion tadpoles for the simple Lie algebras."""
 
 from .adjoint_rules import (
-    F4_STRING_TABLE,
-    G2_OFFDIAG_TABLE,
     FusionDecomposition,
-    NontrivialCondition,
     decompose,
     decompose_tensor,
     diag_fusion,
     diag_tensor,
-    nontrivial_conditions,
     offdiag_fusion,
     offdiag_tensor,
-    reference_nontrivial_conditions,
 )
-from .algebra import AlgebraId, Root, RootSystem, build, parse_algebra
+from .algebra import AlgebraId, Root, RootSystem, algebras_up_to, build, parse_algebra
 from .errors import (
     AlgebraMismatch,
     FusionError,
@@ -25,8 +20,15 @@ from .errors import (
     NotARoot,
 )
 from .oracle import kac_walton_fusion, racah_speiser_tensor
-from .tadpole import (
+from .tables import (
     B_TADPOLE_TABLE,
+    F4_STRING_TABLE,
+    G2_OFFDIAG_TABLE,
+    NontrivialCondition,
+    nontrivial_conditions,
+    reference_nontrivial_conditions,
+)
+from .tadpole import (
     PiecewisePolynomial,
     adjoint_tadpole_enum,
     adjoint_tadpole_formula,
@@ -38,7 +40,7 @@ from .tadpole import (
     zero_tadpole_formula,
     zero_tadpole_polynomial,
 )
-from .verify import VerifyReport, algebras_up_to, run_verify
+from .verify import VerifyReport, run_verify
 from .weights import AffineWeight, affinize, enumerate_level, format_weight, parse_weight
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ with multiplicities that never exceed the rank:
   weight of beta, one row per root in `rule_table`.  Dominance of mu and nu
   already forces mu_i >= max(0, -beta_i), so only the few (beta, i) with
   root-string depth exceeding that bound ever decide anything; those are the
-  "nontrivial conditions" tabulated per family below.
+  "nontrivial conditions", tabulated per family with the paper's other worked
+  tables in `tables`.
 
 The tensor product is fusion at the stable level (theta, mu) + 2: there the
 zeroth label is >= 2, so it drops no weight and counts as a nonzero label,
@@ -51,21 +52,6 @@ class FusionDecomposition:
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-
-@dataclass(frozen=True)
-class NontrivialCondition:
-    """A root-string condition not implied by dominance.
-
-    For nu = mu + beta the coefficient needs mu[index] >= threshold_plus, and
-    for nu = mu - beta it needs mu[index] >= threshold_minus.  `root` holds
-    the simple-root coordinates of the positive root beta.
-    """
-
-    root: tuple[int, ...]
-    index: int
-    threshold_plus: int
-    threshold_minus: int
 
 
 @lru_cache(maxsize=None)
@@ -139,118 +125,3 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
         if all(map(ge, labels, floor)):
             entries[tuple(map(add, finite, beta))] = 1
     return FusionDecomposition(rs.algebra, mu.level, entries)
-
-
-# --- nontrivial conditions ---------------------------------------------
-
-
-def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
-    """All root-string conditions that dominance does not already imply, read
-    off the `rule_table` rows that `decompose` reads.
-
-    Row beta pins node i when t_i exceeds the dominance bound max(0, -beta_i).
-    Nontriviality is sign-symmetric (d_i(-beta) = d_i(beta) + beta_i), so each
-    condition is recorded once on the positive root, with the thresholds of
-    rows beta and -beta.
-    """
-    table = rule_table(rs.algebra)
-    out = []
-    for beta in rs.positive_roots:
-        plus, minus = table[beta.labels], table[(-beta).labels]
-        out += (NontrivialCondition(beta.coords, i, plus[1 + i], minus[1 + i])
-                for i in range(rs.rank) if plus[1 + i] > max(0, -beta.labels[i]))
-    return tuple(sorted(out, key=lambda c: (c.root, c.index)))
-
-
-def reference_nontrivial_conditions(algebra: AlgebraId) -> tuple[NontrivialCondition, ...]:
-    """Hand-tabulated nontrivial conditions, for checking the generated ones."""
-    f, r = algebra.family, algebra.rank
-    out: list[NontrivialCondition] = []
-    if f == "B":
-        # short roots e_m = a_m + ... + a_{r-1}, pinched at the short node
-        for m in range(r - 1):
-            coords = tuple(0 if j < m else 1 for j in range(r))
-            out.append(NontrivialCondition(coords, r - 1, 1, 1))
-    elif f == "C":
-        # e_m + e_{m+1}, pinched at node m
-        for m in range(r - 1):
-            coords = [0] * r
-            coords[m] = 1
-            for j in range(m + 1, r - 1):
-                coords[j] = 2
-            coords[r - 1] = 1
-            out.append(NontrivialCondition(tuple(coords), m, 1, 1))
-    elif f == "F":
-        for coords, i in (
-            ((0, 1, 1, 0), 2),
-            ((1, 1, 1, 0), 2),
-            ((1, 2, 3, 2), 2),
-            ((0, 1, 2, 1), 3),
-            ((1, 1, 2, 1), 3),
-            ((1, 2, 2, 1), 3),
-        ):
-            out.append(NontrivialCondition(coords, i, 1, 1))
-    elif f == "G":
-        out.append(NontrivialCondition((1, 1), 1, 2, 1))
-        out.append(NontrivialCondition((1, 2), 1, 1, 2))
-    # A, D, E: every condition follows from dominance
-    return tuple(sorted(out, key=lambda c: (c.root, c.index)))
-
-
-# --- worked tables for the rank-2 and rank-4 exceptional algebras --------
-
-# One row per root beta of G2: simple-root coordinates, the minimal affine
-# weight (t0; t1, t2) whose orbit theta (x) mu reaches mu + beta, which finite
-# node (if any) carries a condition beyond dominance, and the label shift
-# from mu-hat to nu-hat.
-G2_OFFDIAG_TABLE: tuple[tuple[tuple[int, int], tuple[int, int, int], int | None, tuple[int, int, int]], ...] = (
-    ((1, 0), (1, 0, 3), None, (-1, 2, -3)),
-    ((1, 1), (1, 0, 2), 1, (-1, 1, -1)),
-    ((2, 3), (2, 0, 0), None, (-2, 1, 0)),
-    ((1, 2), (1, 0, 1), 1, (-1, 0, 1)),
-    ((1, 3), (1, 1, 0), None, (-1, -1, 3)),
-    ((0, 1), (0, 1, 0), None, (0, -1, 2)),
-    ((-1, 0), (0, 2, 0), None, (1, -2, 3)),
-    ((-1, -1), (0, 1, 1), 1, (1, -1, 1)),
-    ((-2, -3), (0, 1, 0), None, (2, -1, 0)),
-    ((-1, -2), (0, 0, 2), 1, (1, 0, -1)),
-    ((-1, -3), (0, 0, 3), None, (1, 1, -3)),
-    ((0, -1), (0, 0, 2), None, (0, 1, -2)),
-)
-
-
-def g2_offdiag_row(
-    rs: RootSystem, coords: tuple[int, int]
-) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
-    """Recompute one G2 table row from the rule table that `decompose` reads."""
-    beta = rs.root_at(coords)
-    floor = rule_table(rs.algebra)[beta.labels]
-    star = None
-    for i in range(2):
-        if floor[1 + i] > max(0, -beta.labels[i]):
-            star = i
-    delta = (-rs.theta_pairing(beta.labels),) + beta.labels
-    return floor, star, delta
-
-
-# The six F4 roots with a condition beyond dominance, shown with both ends of
-# the alpha_i string through beta (as Dynkin labels of beta -/+ alpha_i).
-F4_STRING_TABLE: tuple[tuple[tuple[int, int, int, int], int, tuple[int, ...], tuple[int, ...]], ...] = (
-    ((0, 1, 1, 0), 2, (-1, 2, -2, 0), (-1, 0, 2, -2)),
-    ((1, 1, 1, 0), 2, (1, 1, -2, 0), (1, -1, 2, -2)),
-    ((1, 2, 3, 2), 2, (0, 1, -2, 2), (0, -1, 2, 0)),
-    ((0, 1, 2, 1), 3, (-1, 0, 2, -2), (-1, 0, 0, 2)),
-    ((1, 1, 2, 1), 3, (1, -1, 2, -2), (1, -1, 0, 2)),
-    ((1, 2, 2, 1), 3, (0, 1, 0, -2), (0, 1, -2, 2)),
-)
-
-
-def f4_string_row(
-    rs: RootSystem, coords: tuple[int, int, int, int], i: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dynkin labels of beta - alpha_i and beta + alpha_i."""
-    below = list(coords)
-    below[i] -= 1
-    above = list(coords)
-    above[i] += 1
-    return rs.labels_of(tuple(below)), rs.labels_of(tuple(above))

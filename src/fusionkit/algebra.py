@@ -38,6 +38,16 @@ RANK_BOUNDS = {
 }
 
 
+def algebras_up_to(max_rank: int) -> list[AlgebraId]:
+    """Every simple algebra with rank <= max_rank, family order A..G."""
+    out = []
+    for family in FAMILIES:
+        lo, hi = RANK_BOUNDS[family]
+        top = max_rank if hi is None else min(hi, max_rank)
+        out.extend(AlgebraId(family, r) for r in range(lo, top + 1))
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraId:
     """A simple Lie algebra named by family letter and rank."""
@@ -142,14 +152,6 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)  # type: ignore[union-attr]
 
 
-def _string_below(found: dict, gamma: tuple[int, ...], j: int) -> int:
-    """How many times alpha_j can be taken off gamma, staying among `found`."""
-    n = 0
-    while n < gamma[j] and gamma[:j] + (gamma[j] - n - 1,) + gamma[j + 1 :] in found:
-        n += 1
-    return n
-
-
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Positive roots, built height by height from the simple roots.
 
@@ -159,7 +161,8 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
     root exactly when p_i > beta_i, and its labels are those of beta plus row i
     of the Cartan matrix.  p_i(alpha_i) = 2: that string passes through 0 to
     -alpha_i.  Above height 1 the strings below a root are positive and
-    unbroken, so p is read off the lower layers; no p exceeds 3.
+    unbroken, so p_j(gamma) is p_j(gamma - alpha_j) + 1 when gamma - alpha_j
+    is a root of the layer below, and 0 otherwise; no p exceeds 3.
     """
     r = len(cartan)
     layer = [tuple(int(i == j) for j in range(r)) for i in range(r)]
@@ -170,10 +173,14 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
             labels, below = found[beta]
             for i in range(r):
                 if below[i] > labels[i] and (gamma := beta[:i] + (beta[i] + 1,) + beta[i + 1 :]) not in found:
-                    p = tuple(_string_below(found, gamma, j) for j in range(r))
+                    p = [0] * r
+                    for j, c in enumerate(gamma):
+                        down = found.get(gamma[:j] + (c - 1,) + gamma[j + 1 :]) if c else None
+                        if down is not None:
+                            p[j] = down[1][j] + 1
                     if max(p) > 3:
                         raise RuntimeError(f"alpha-string below {gamma} is longer than a root string can be")
-                    found[gamma] = (tuple(map(add, labels, cartan[i])), p)
+                    found[gamma] = (tuple(map(add, labels, cartan[i])), tuple(p))
                     above.append(gamma)
         layer = above
     return found

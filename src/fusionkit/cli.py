@@ -1,5 +1,8 @@
 """Command-line interface.
 
+`table` is one dispatch over `tables.TABLES`: `--check` runs the check that
+`verify --suite tables` runs, so both print the same mismatch lines.
+
 Exit codes: 0 success, 2 bad input (names, weights, dominance) and every other
 FusionError, 3 level out of range or mismatched, 4 verification found a
 mismatch, 5 no closed form.
@@ -13,26 +16,20 @@ import os
 import sys
 from functools import partial
 
-from .adjoint_rules import (
-    G2_OFFDIAG_TABLE,
-    decompose,
-    nontrivial_conditions,
-    reference_nontrivial_conditions,
-)
+from .adjoint_rules import decompose
 from .algebra import build, integer, parse_algebra
 from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
+from .tables import TABLES
 from .tadpole import (
-    B_TADPOLE_TABLE,
     adjoint_tadpole_enum,
     adjoint_tadpole_formula,
     adjoint_tadpole_oracle,
-    b_table_check,
     zero_tadpole_enum,
     zero_tadpole_formula,
     zero_tadpole_oracle,
 )
-from .verify import ALL_SUITES, check_conditions, check_g2_table, condition_algebras, run_verify
+from .verify import ALL_SUITES, run_verify
 from .weights import affinize, format_weight, parse_weight, stable_level
 
 EXIT_OK = 0
@@ -119,95 +116,23 @@ def _cmd_tadpole(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_b_table() -> tuple[list[str], str]:
-    bad = b_table_check()
-    total = len(B_TADPOLE_TABLE)
-    return bad, f"{total - len(bad)}/{total} cells match"
-
-
-def _check_g2_table() -> tuple[list[str], str]:
-    bad = check_g2_table()
-    starred = sum(1 for row in G2_OFFDIAG_TABLE if row[2] is not None)
-    return bad, f"{len(G2_OFFDIAG_TABLE) - len(bad)}/{len(G2_OFFDIAG_TABLE)} rows match ({starred} starred)"
-
-
-def _check_condition_tables() -> tuple[list[str], list[str]]:
-    bad = []
-    lines = []
-    for algebra in condition_algebras():
-        problems = check_conditions(algebra)
-        bad += problems
-        n = len(reference_nontrivial_conditions(algebra))
-        lines.append(f"{algebra}: {n} conditions match" if not problems else f"{algebra}: MISMATCH")
-    return bad, lines
-
-
-# table name -> recheck returning (mismatches, summary: one line or a list of lines)
-TABLE_CHECKS = {
-    "b-tadpoles": _check_b_table,
-    "g2-offdiag": _check_g2_table,
-    "nontrivial": _check_condition_tables,
-}
-
-
-def _b_table_lines() -> list[str]:
-    ranks = sorted({r for r, _ in B_TADPOLE_TABLE})
-    levels = sorted({k for _, k in B_TADPOLE_TABLE})
-    lines = ["level " + " ".join(f"B{r}".rjust(6) for r in ranks)]
-    for k in levels:
-        row = " ".join(str(B_TADPOLE_TABLE[(r, k)]).rjust(6) for r in ranks)
-        lines.append(f"{str(k).rjust(5)} {row}")
-    return lines
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.algebra is not None and (args.check or args.name != "nontrivial"):
         raise ValueError("--algebra applies only to table nontrivial without --check")
+    if args.name == "nontrivial" and not (args.check or args.algebra):
+        raise ValueError("table nontrivial needs --algebra or --check")
+    check, show = TABLES[args.name]
+    record = {"command": "table", "name": args.name}
     if args.check:
-        bad, summary = TABLE_CHECKS[args.name]()
+        bad, summary = check()
         for line in bad:
             print(line, file=sys.stderr)
-        lines = summary if isinstance(summary, list) else [summary]
-        _emit(args, {"command": "table", "name": args.name, "check": summary, "ok": not bad}, lines)
+        record.update(check=summary, ok=not bad)
+        _emit(args, record, summary if isinstance(summary, list) else [summary])
         return EXIT_OK if not bad else EXIT_MISMATCH
-
-    if args.name == "b-tadpoles":
-        cells = {f"B{r},{k}": v for (r, k), v in sorted(B_TADPOLE_TABLE.items())}
-        _emit(args, {"command": "table", "name": args.name, "cells": cells}, _b_table_lines())
-        return EXIT_OK
-
-    if args.name == "g2-offdiag":
-        rows = []
-        lines = []
-        for coords, thresholds, star, delta in G2_OFFDIAG_TABLE:
-            mark = f" pinned at node {star + 1}" if star is not None else ""
-            rows.append({"root": list(coords), "thresholds": list(thresholds), "shift": list(delta),
-                         "pinned_node": None if star is None else star + 1})
-            t0, t1, t2 = thresholds
-            lines.append(f"beta={coords} needs ({t0}; {t1},{t2}) shift {delta}{mark}")
-        _emit(args, {"command": "table", "name": args.name, "rows": rows}, lines)
-        return EXIT_OK
-
-    if not args.algebra:
-        raise ValueError("table nontrivial needs --algebra or --check")
-    rs = build(parse_algebra(args.algebra))
-    rows = []
-    lines = []
-    for cond in nontrivial_conditions(rs):
-        rows.append({
-            "root": list(cond.root),
-            "node": cond.index + 1,
-            "plus": cond.threshold_plus,
-            "minus": cond.threshold_minus,
-        })
-        lines.append(
-            f"beta={cond.root} node {cond.index + 1}: "
-            f"mu_{cond.index + 1} >= {cond.threshold_plus} (+beta), "
-            f">= {cond.threshold_minus} (-beta)"
-        )
-    if not rows:
-        lines.append(f"{rs.algebra}: every condition follows from dominance")
-    _emit(args, {"command": "table", "name": args.name, "algebra": str(rs.algebra), "rows": rows}, lines)
+    fields, lines = show(args.algebra and parse_algebra(args.algebra))
+    record.update(fields)
+    _emit(args, record, lines)
     return EXIT_OK
 
 
@@ -265,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tad.set_defaults(func=_cmd_tadpole)
 
     table = sub.add_parser("table", help="reference tables, optionally rechecked")
-    table.add_argument("name", choices=tuple(TABLE_CHECKS))
+    table.add_argument("name", choices=tuple(TABLES))
     table.add_argument("--check", action="store_true", help="recompute and compare")
     table.add_argument("--algebra", help="for: nontrivial")
     table.add_argument("--json", action="store_true")

@@ -8,7 +8,8 @@ quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
 The classical forms are the paper's sums of falling factorials in J, each
 evaluated exactly as one fraction over a factorial; the E6 forms are literal
-rows of rational coefficients, evaluated by Horner's rule.
+rows of rational coefficients, evaluated by Horner's rule.  The published
+B-series table that both routes are checked against is in `tables`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache, partial
 from math import factorial
 from typing import Callable
 
-from .algebra import AlgebraId, RootSystem, build
+from .algebra import AlgebraId, RootSystem
 from .errors import LevelTooSmall, NoClosedForm
 from .weights import enumerate_level
 
@@ -229,41 +230,3 @@ def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     for mu in enumerate_level(rs, level):
         total += kac_walton_fusion(rs, mu).get(mu.finite, 0)
     return total
-
-
-# Published adjoint tadpoles for the first B ranks, levels 2..13; columns are
-# r = 3..6.  Used as a fixed cross-check of both the formulas and the
-# enumeration.
-_B_ROWS = {
-    2: (3, 3, 3, 3),
-    3: (11, 14, 17, 20),
-    4: (24, 34, 45, 57),
-    5: (45, 72, 105, 144),
-    6: (74, 130, 205, 301),
-    7: (114, 220, 375, 588),
-    8: (165, 345, 630, 1050),
-    9: (230, 520, 1015, 1792),
-    10: (309, 749, 1554, 2898),
-    11: (405, 1050, 2310, 4536),
-    12: (518, 1428, 3318, 6846),
-    13: (651, 1904, 4662, 10080),
-}
-
-B_TADPOLE_TABLE: dict[tuple[int, int], int] = {
-    (r, k): row[r - 3] for k, row in _B_ROWS.items() for r in (3, 4, 5, 6)
-}
-
-
-def b_table_check() -> list[str]:
-    """Compare the published B-series table cells against formula and enumeration."""
-    bad = []
-    for (r, k), want in sorted(B_TADPOLE_TABLE.items()):
-        algebra = AlgebraId("B", r)
-        got_formula = adjoint_tadpole_formula(algebra, k)
-        got_enum = adjoint_tadpole_enum(build(algebra), k)
-        if got_formula != want or got_enum != want:
-            label = branch_label(algebra, k)
-            bad.append(
-                f"B{r} level {k} ({label}): table {want}, formula {got_formula}, enumeration {got_enum}"
-            )
-    return bad

@@ -1,37 +1,21 @@
 """Consistency sweeps: closed-form rules against the folding oracle, tadpole
-formulas against enumeration, and the hand-tabulated reference tables against
-regenerated ones.  Used by the CLI `verify` command and the test suite."""
+formulas against enumeration, and the reference tables of `tables` against
+the data the rules and the tadpole sums read.  Used by the CLI `verify`
+command and the test suite."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import tadpole
-from .adjoint_rules import (
-    F4_STRING_TABLE,
-    G2_OFFDIAG_TABLE,
-    decompose,
-    f4_string_row,
-    g2_offdiag_row,
-    nontrivial_conditions,
-    reference_nontrivial_conditions,
-)
-from .algebra import RANK_BOUNDS, AlgebraId, build
+from .adjoint_rules import decompose
+from .algebra import AlgebraId, algebras_up_to, build
 from .errors import LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
+from .tables import TABLES, check_f4_table
 from .weights import enumerate_level
 
 ALL_SUITES = ("rules", "tadpole", "tables")
-
-
-def algebras_up_to(max_rank: int) -> list[AlgebraId]:
-    """Every simple algebra with rank <= max_rank, family order A..G."""
-    out = []
-    for family in "ABCDEFG":
-        lo, hi = RANK_BOUNDS[family]
-        top = max_rank if hi is None else min(hi, max_rank)
-        out.extend(AlgebraId(family, r) for r in range(lo, top + 1))
-    return out
 
 
 def check_rules_vs_oracle(algebra: AlgebraId, level: int) -> list[str]:
@@ -67,46 +51,10 @@ def check_tadpole_methods(algebra: AlgebraId, level: int) -> list[str]:
     return bad
 
 
-def check_g2_table() -> list[str]:
-    rs = build(AlgebraId("G", 2))
-    bad = []
-    for coords, thresholds, star, delta in G2_OFFDIAG_TABLE:
-        got = g2_offdiag_row(rs, coords)
-        if got != (thresholds, star, delta):
-            bad.append(f"G2 row {coords}: tabulated {(thresholds, star, delta)}, regenerated {got}")
-    return bad
-
-
-def check_f4_table() -> list[str]:
-    rs = build(AlgebraId("F", 4))
-    bad = []
-    for coords, i, below, above in F4_STRING_TABLE:
-        got = f4_string_row(rs, coords, i)
-        if got != (below, above):
-            bad.append(f"F4 string {coords} node {i + 1}: tabulated {(below, above)}, regenerated {got}")
-    return bad
-
-
-def condition_algebras() -> list[AlgebraId]:
-    """The algebras whose condition tables are checked: rank <= 7, plus E8."""
-    return algebras_up_to(7) + [AlgebraId("E", 8)]
-
-
-def check_conditions(algebra: AlgebraId) -> list[str]:
-    got = nontrivial_conditions(build(algebra))
-    want = reference_nontrivial_conditions(algebra)
-    if got != want:
-        return [f"{algebra}: generated conditions {got} differ from tabulated {want}"]
-    return []
-
-
 def check_reference_tables() -> list[str]:
-    bad = tadpole.b_table_check()
-    bad += check_g2_table()
-    bad += check_f4_table()
-    for algebra in condition_algebras():
-        bad += check_conditions(algebra)
-    return bad
+    """Every table of `tables.TABLES`, then the F4 strings."""
+    bad = [line for check, _ in TABLES.values() for line in check()[0]]
+    return bad + check_f4_table()
 
 
 @dataclass

@@ -24,8 +24,8 @@ from fusionkit import (
     racah_speiser_tensor,
     reference_nontrivial_conditions,
 )
-from fusionkit.adjoint_rules import f4_string_row, g2_offdiag_row
-from fusionkit.verify import algebras_up_to
+from fusionkit.algebra import algebras_up_to
+from fusionkit.tables import f4_string_row, g2_offdiag_row
 from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, offdiag_endpoint
 
 

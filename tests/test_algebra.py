@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from fusionkit import (
     build,
     parse_algebra,
 )
-from fusionkit.verify import algebras_up_to
+from fusionkit.algebra import algebras_up_to
 
 from root_reference import (
     inner_product,
@@ -109,6 +110,40 @@ def test_roots_match_closure_reference(name):
         assert beta.labels == labels_of(rs.cartan, beta.coords)
         depths = tuple(string_depth(closure, beta.coords, i) for i in range(rs.rank))
         assert rs.depth_weight(beta) == depths, beta.coords
+
+
+# exponents of the exceptional algebras (Humphreys, Reflection groups and
+# Coxeter groups, 3.7); the classical ones follow a pattern in the rank
+EXCEPTIONAL_EXPONENTS = {
+    "E6": (1, 4, 5, 7, 8, 11),
+    "E7": (1, 5, 7, 9, 11, 13, 17),
+    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+    "F4": (1, 5, 7, 11),
+    "G2": (1, 5),
+}
+
+
+def _exponents(algebra):
+    f, r = algebra.family, algebra.rank
+    if f == "A":
+        return tuple(range(1, r + 1))
+    if f in "BC":
+        return tuple(range(1, 2 * r, 2))
+    if f == "D":
+        return tuple(range(1, 2 * r - 2, 2)) + (r - 1,)
+    return EXCEPTIONAL_EXPONENTS[str(algebra)]
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(20) + [AlgebraId(f, r) for r in (30, 40) for f in "ABCD"],
+                         ids=str)
+def test_root_heights_are_dual_to_the_exponents(algebra):
+    # Kostant: the number of positive roots of height j is the number of
+    # exponents >= j, for every j >= 1
+    heights = Counter(beta.height for beta in build(algebra).positive_roots)
+    exponents = _exponents(algebra)
+    js = range(1, max(exponents) + 2)
+    assert [heights[j] for j in js] == [sum(e >= j for e in exponents) for j in js]
+    assert sum(heights.values()) == sum(exponents)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fusionkit.cli as cli
+import fusionkit.tables
 import fusionkit.tadpole
 from fusionkit import (
     AlgebraMismatch,
@@ -299,6 +300,29 @@ def test_verify_detects_bad_formula(capsys, monkeypatch):
     rc, _, err = run(capsys, "verify", "--max-rank", "1", "--max-level", "3", "--suite", "tadpole")
     assert rc == 4
     assert "adjoint tadpole (k=J)" in err
+
+
+def _plant_b_cell(monkeypatch):
+    monkeypatch.setitem(fusionkit.tables.B_TADPOLE_TABLE, (4, 7), 221)
+
+
+def _plant_g2_row(monkeypatch):
+    rows = fusionkit.tables.G2_OFFDIAG_TABLE
+    monkeypatch.setattr(fusionkit.tables, "G2_OFFDIAG_TABLE", (((1, 0), (1, 0, 2), None, (-1, 2, -3)),) + rows[1:])
+
+
+@pytest.mark.parametrize("name,plant,line", [
+    ("b-tadpoles", _plant_b_cell, "B4 level 7 (k=2J+1): table 221, formula 220, enumeration 220"),
+    ("g2-offdiag", _plant_g2_row, "G2 row (1, 0): tabulated ((1, 0, 2), None, (-1, 2, -3)), "
+                                  "regenerated ((1, 0, 3), None, (-1, 2, -3))"),
+])
+def test_planted_table_error_fails_table_check_and_verify_alike(capsys, monkeypatch, name, plant, line):
+    plant(monkeypatch)
+    monkeypatch.delenv("FUSIONKIT_THREADS", raising=False)
+    rc, _, err = run(capsys, "table", name, "--check")
+    assert (rc, err) == (4, line + "\n")
+    rc, out, err = run(capsys, "verify", "--suite", "tables")
+    assert (rc, out, err) == (4, "verify: 1 tasks, 1 mismatches\n", line + "\n")
 
 
 def test_tadpole_all_detects_disagreement(capsys, monkeypatch):

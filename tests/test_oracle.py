@@ -19,7 +19,7 @@ from fusionkit import (
     racah_speiser_tensor,
 )
 from fusionkit import oracle
-from fusionkit.verify import algebras_up_to
+from fusionkit.algebra import algebras_up_to
 from fusionkit.weights import stable_level
 from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
 from oracle_reference import kac_walton_fusion as reference_fusion
@@ -228,3 +228,15 @@ def test_oracle_shares_nothing_with_the_rules():
         elif isinstance(node, ast.alias):
             named.add(node.name)
     assert named & _RULE_NAMES == set()
+
+
+@pytest.mark.parametrize("module,barred", [
+    *[(name, {"tables", "verify", "cli"}) for name in ("algebra", "weights", "adjoint_rules", "oracle", "tadpole")],
+    ("tables", {"verify", "cli"}),
+])
+def test_layers_import_only_downwards(module, barred):
+    # the reference tables sit above the rules and the tadpole sums, and below
+    # the sweeps and the command line that read them
+    tree = ast.parse((Path(oracle.__file__).with_name(f"{module}.py")).read_text())
+    imported = {name.rpartition(".")[2] for name in _package_imports(tree)}
+    assert imported & barred == set()
