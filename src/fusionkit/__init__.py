@@ -5,9 +5,6 @@ from .adjoint_rules import (
     decompose,
     decompose_tensor,
     diag_fusion,
-    diag_tensor,
-    offdiag_fusion,
-    offdiag_tensor,
 )
 from .algebra import AlgebraId, Root, RootSystem, algebras_up_to, build, parse_algebra
 from .errors import (
@@ -75,14 +72,11 @@ __all__ = [
     "decompose",
     "decompose_tensor",
     "diag_fusion",
-    "diag_tensor",
     "enumerate_level",
     "falling_power",
     "format_weight",
     "kac_walton_fusion",
     "nontrivial_conditions",
-    "offdiag_fusion",
-    "offdiag_tensor",
     "parse_algebra",
     "parse_weight",
     "racah_speiser_tensor",

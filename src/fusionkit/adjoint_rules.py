@@ -13,9 +13,10 @@ with multiplicities that never exceed the rank:
   "nontrivial conditions", tabulated per family with the paper's other worked
   tables in `tables`.
 
-The tensor product is fusion at the stable level (theta, mu) + 2: there the
-zeroth label is >= 2, so it drops no weight and counts as a nonzero label,
-which the "minus one" of the diagonal fusion count takes back.
+The tensor product, `decompose_tensor`, is `decompose` at the stable level
+(theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
+counts as a nonzero label, which the "minus one" of the diagonal fusion count
+takes back.  A single coefficient is `FusionDecomposition.multiplicity`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import AlgebraId, RootSystem, build
-from .errors import LevelMismatch
 from .weights import (
     AffineWeight,
     Weight,
@@ -75,36 +75,10 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
     return MappingProxyType(table)
 
 
-def diag_tensor(rs: RootSystem, mu: Weight) -> int:
-    """Multiplicity of mu itself inside theta (x) mu."""
-    _check_dominant(mu, rs.rank, "weight")
-    return diag_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
-
-
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
     _check_affine(rs, mu, "affine weight")
     return nonzero_affine_labels(mu) - 1
-
-
-def offdiag_tensor(rs: RootSystem, mu: Weight, nu: Weight) -> int:
-    """Multiplicity of nu != mu inside theta (x) mu (0 or 1)."""
-    _check_dominant(mu, rs.rank, "weight")
-    _check_dominant(nu, rs.rank, "target")
-    level = stable_level(rs, mu, nu)
-    return offdiag_fusion(rs, affinize(rs, mu, level), affinize(rs, nu, level))
-
-
-def offdiag_fusion(rs: RootSystem, mu: AffineWeight, nu: AffineWeight) -> int:
-    """Multiplicity of nu != mu in the level-k fusion theta (x) mu (0 or 1)."""
-    if mu.level != nu.level:
-        raise LevelMismatch(f"levels differ: {mu.level} != {nu.level}")
-    _check_affine(rs, mu, "affine weight")
-    _check_affine(rs, nu, "affine target")
-    floor = rule_table(rs.algebra).get(tuple(a - b for a, b in zip(nu.finite, mu.finite)))
-    if floor is None:
-        return 0
-    return int(all(map(ge, mu.labels, floor)))
 
 
 def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:

@@ -42,7 +42,7 @@ def _poly_eval(p, x):
 
 
 def _check_level(kind: str, algebra: AlgebraId, level: int, floor: int) -> None:
-    """The level guard of the counting routes, worded as `PiecewisePolynomial.evaluate`."""
+    """The level guard of every tadpole route, worded as `PiecewisePolynomial.evaluate`."""
     if level < floor:
         raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {floor}, got {level}")
 
@@ -169,10 +169,12 @@ def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
 
 
 def adjoint_tadpole_formula(algebra: AlgebraId, level: int) -> int:
+    _check_level("adjoint", algebra, level, 2)
     return adjoint_tadpole_polynomial(algebra).evaluate(level)
 
 
 def zero_tadpole_formula(algebra: AlgebraId, level: int) -> int:
+    _check_level("vacuum", algebra, level, 0)
     return zero_tadpole_polynomial(algebra).evaluate(level)
 
 

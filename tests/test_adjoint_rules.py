@@ -16,11 +16,8 @@ from fusionkit import (
     decompose,
     decompose_tensor,
     diag_fusion,
-    diag_tensor,
     enumerate_level,
     nontrivial_conditions,
-    offdiag_fusion,
-    offdiag_tensor,
     racah_speiser_tensor,
     reference_nontrivial_conditions,
 )
@@ -31,9 +28,8 @@ from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, off
 
 def test_diag_tensor_counts_nonzero_labels():
     rs = build("B3")
-    assert diag_tensor(rs, (0, 0, 0)) == 0
-    assert diag_tensor(rs, (1, 0, 2)) == 2
-    assert diag_tensor(rs, (1, 1, 1)) == 3
+    for mu, count in (((0, 0, 0), 0), ((1, 0, 2), 2), ((1, 1, 1), 3)):
+        assert decompose_tensor(rs, mu).multiplicity(mu) == count
 
 
 def test_diag_fusion_drops_one_for_the_affine_label():
@@ -93,12 +89,12 @@ def test_fusion_g2_level3():
 
 def test_offdiag_errors():
     rs = build("A2")
-    with pytest.raises(LevelMismatch):
-        offdiag_fusion(rs, AffineWeight(3, (3, 0, 0)), AffineWeight(4, (2, 1, 1)))
     with pytest.raises(LevelTooSmall):
-        offdiag_fusion(rs, AffineWeight(1, (1, 0, 0)), AffineWeight(1, (0, 1, 0)))
+        decompose(rs, AffineWeight(1, (1, 0, 0)))
+    with pytest.raises(LevelTooSmall):
+        decompose(rs, AffineWeight(1, (0, 1, 0)))
     with pytest.raises(ValueError):
-        offdiag_tensor(rs, (-1, 0), (1, 0))
+        decompose_tensor(rs, (-1, 0))
     with pytest.raises(ValueError):
         decompose_tensor(rs, (0, -2))
     with pytest.raises(AlgebraMismatch):
@@ -112,7 +108,7 @@ def test_offdiag_errors():
     with pytest.raises(AlgebraMismatch):
         decompose_tensor(rs, (1, 0, 0))
     with pytest.raises(AlgebraMismatch):
-        offdiag_tensor(rs, (1, 0), (1,))
+        decompose(rs, AffineWeight(2, (1, 1)))
 
 
 SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
@@ -120,18 +116,19 @@ SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
 
 @pytest.mark.parametrize("name", SAMPLED)
 def test_offdiag_fast_path_agrees(name):
-    # offdiag_tensor reads the rule table; the condition map consults only the
-    # tabulated nontrivial conditions.  They must agree on dominant pairs.
+    # decompose_tensor reads the rule table; the condition map consults only
+    # the tabulated nontrivial conditions.  They must agree on dominant pairs.
     rs = build(name)
     rng = random.Random(f"fast:{name}")
     weights = [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(40)]
     checked = 0
     for mu in weights:
+        tensored = decompose_tensor(rs, mu).entries
         for beta in rs.roots:
             nu = tuple(a + b for a, b in zip(mu, beta.labels))
             if any(x < 0 for x in nu):
                 continue
-            assert offdiag_conditions(rs, mu, nu) == offdiag_tensor(rs, mu, nu)
+            assert offdiag_conditions(rs, mu, nu) == tensored.get(nu, 0)
             checked += 1
     assert checked > 100
 
@@ -142,26 +139,21 @@ def test_offdiag_tensor_agrees_with_folding(name):
     rng = random.Random(f"folding:{name}")
     for _ in range(25):
         mu = tuple(rng.randint(0, 4) for _ in range(rs.rank))
-        want = racah_speiser_tensor(rs, mu)
-        for beta in rs.roots:
-            nu = tuple(a + b for a, b in zip(mu, beta.labels))
-            if any(x < 0 for x in nu):
-                continue
-            assert offdiag_tensor(rs, mu, nu) == want.get(nu, 0)
+        assert decompose_tensor(rs, mu).entries == racah_speiser_tensor(rs, mu), mu
 
 
 @pytest.mark.parametrize("name,max_level", [("A2", 5), ("B3", 5), ("C2", 6), ("G2", 5), ("A1", 6)])
 def test_offdiag_fusion_equals_tensor_on_dominant_pairs(name, max_level):
-    # the affine clause is redundant once both weights are dominant at level k
+    # the paper's statement: off-diagonal fusion at level k is the tensor
+    # product with the weights that are not dominant at level k dropped
     rs = build(name)
     for level in range(2, max_level + 1):
         for mu in enumerate_level(rs, level):
-            for beta in rs.roots:
-                nu = tuple(a + b for a, b in zip(mu.finite, beta.labels))
-                if any(x < 0 for x in nu) or rs.theta_pairing(nu) > level:
-                    continue
-                nu_aff = affinize(rs, nu, level)
-                assert offdiag_fusion(rs, mu, nu_aff) == offdiag_tensor(rs, mu.finite, nu)
+            fused = decompose(rs, mu).entries
+            tensored = decompose_tensor(rs, mu.finite).entries
+            want = {nu: m for nu, m in tensored.items()
+                    if nu != mu.finite and rs.theta_pairing(nu) <= level}
+            assert {nu: m for nu, m in fused.items() if nu != mu.finite} == want, mu
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(4), ids=str)

@@ -167,6 +167,23 @@ def test_highest_root_labels(name, theta_labels):
     assert inner_product(rs, theta_labels, theta_labels) == 2
 
 
+def _typed_comarks(algebra):
+    """(name, dual Kac labels, h^v) of a classical algebra, typed from its family."""
+    r = algebra.rank
+    comarks, hvee = {
+        "A": ((1,) * r, r + 1),
+        "B": ((1,) + (2,) * (r - 2) + (1,), 2 * r - 1),
+        "C": ((1,) * r, r + 1),
+        "D": ((1,) + (2,) * (r - 3) + (1, 1), 2 * r - 2),
+    }[algebra.family]
+    return pytest.param(str(algebra), comarks, hvee, id=str(algebra))
+
+
+CLASSICAL = [a for a in algebras_up_to(20) if a.family in "ABCD"] + [
+    AlgebraId(family, rank) for family in "ABCD" for rank in (30, 40)
+]
+
+
 @pytest.mark.parametrize(
     "name,comarks,hvee",
     [
@@ -179,12 +196,12 @@ def test_highest_root_labels(name, theta_labels):
         ("E8", (2, 3, 4, 6, 5, 4, 3, 2), 30),
         ("F4", (2, 3, 2, 1), 9),
         ("G2", (2, 1), 4),
-    ],
+    ] + [_typed_comarks(algebra) for algebra in CLASSICAL],
 )
 def test_comarks_and_dual_coxeter(name, comarks, hvee):
     rs = build(name)
     assert rs.comarks == comarks
-    assert rs.dual_coxeter == hvee
+    assert rs.dual_coxeter == hvee == 1 + sum(comarks)
     assert rs.affine_comarks == (1,) + comarks
 
 

@@ -97,6 +97,18 @@ def test_e6_frozen_sequences():
             assert adjoint_tadpole_enum(rs, k) == E6_ADJOINT[k]
 
 
+def test_e6_literal_rows_against_enumeration():
+    # seven points fix a degree-6 branch; J = 1..8 pins each row and checks it once more
+    a = AlgebraId("E", 6)
+    rs = build("E6")
+    adjoint, zero = adjoint_tadpole_polynomial(a), zero_tadpole_polynomial(a)
+    for t in range(6):
+        for j in range(1, 9):
+            k = 6 * j + t
+            assert adjoint.evaluate_raw(k) == adjoint_tadpole_enum(rs, k), k
+            assert zero.evaluate_raw(k) == zero_tadpole_enum(rs, k), k
+
+
 def test_b_reference_table():
     assert len(B_TADPOLE_TABLE) == 48
     assert B_TADPOLE_TABLE[(4, 7)] == 220
