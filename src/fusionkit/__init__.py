@@ -31,7 +31,6 @@ from .tadpole import (
     adjoint_tadpole_formula,
     adjoint_tadpole_oracle,
     adjoint_tadpole_polynomial,
-    branch_label,
     falling_power,
     zero_tadpole_enum,
     zero_tadpole_formula,
@@ -67,7 +66,6 @@ __all__ = [
     "adjoint_tadpole_polynomial",
     "affinize",
     "algebras_up_to",
-    "branch_label",
     "build",
     "decompose",
     "decompose_tensor",

@@ -16,7 +16,9 @@ with multiplicities that never exceed the rank:
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
 counts as a nonzero label, which the "minus one" of the diagonal fusion count
-takes back.  A single coefficient is `FusionDecomposition.multiplicity`.
+takes back; its weight is checked by `affinize`, as in the oracle's tensor
+form.  `FusionDecomposition` holds the coefficients alone, in `entries`; a
+single coefficient is its `multiplicity`.
 """
 
 from __future__ import annotations
@@ -28,30 +30,17 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import AlgebraId, RootSystem, build
-from .weights import (
-    AffineWeight,
-    Weight,
-    _check_affine,
-    _check_dominant,
-    affinize,
-    nonzero_affine_labels,
-    stable_level,
-)
+from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
 @dataclass
 class FusionDecomposition:
-    """Multiset of dominant weights with multiplicities; level None = tensor."""
+    """Multiset of dominant weights with multiplicities."""
 
-    algebra: AlgebraId
-    level: int | None
     entries: dict[Weight, int]
 
     def multiplicity(self, nu: Weight) -> int:
         return self.entries.get(tuple(nu), 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
 
 
 @lru_cache(maxsize=None)
@@ -78,14 +67,12 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
     _check_affine(rs, mu, "affine weight")
-    return nonzero_affine_labels(mu) - 1
+    return sum(1 for x in mu.labels if x) - 1
 
 
 def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu as a tensor product."""
-    _check_dominant(mu, rs.rank, "weight")
-    entries = decompose(rs, affinize(rs, mu, stable_level(rs, mu))).entries
-    return FusionDecomposition(rs.algebra, None, entries)
+    return decompose(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
 def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
@@ -98,4 +85,4 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     for beta, floor in rule_table(rs.algebra).items():
         if all(map(ge, labels, floor)):
             entries[tuple(map(add, finite, beta))] = 1
-    return FusionDecomposition(rs.algebra, mu.level, entries)
+    return FusionDecomposition(entries)

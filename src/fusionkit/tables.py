@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .adjoint_rules import rule_table
 from .algebra import AlgebraId, RootSystem, algebras_up_to, build
-from .tadpole import adjoint_tadpole_enum, adjoint_tadpole_formula, branch_label
+from .tadpole import adjoint_tadpole_enum, adjoint_tadpole_formula, adjoint_tadpole_polynomial
 
 # Published adjoint tadpoles for the first B ranks, levels 2..13; columns are
 # r = 3..6.  Used as a fixed cross-check of both the formulas and the
@@ -49,7 +49,7 @@ def check_b_table() -> tuple[list[str], str]:
         got_formula = adjoint_tadpole_formula(algebra, k)
         got_enum = adjoint_tadpole_enum(build(algebra), k)
         if got_formula != want or got_enum != want:
-            label = branch_label(algebra, k)
+            label = adjoint_tadpole_polynomial(algebra).branch_label(k)
             bad.append(
                 f"B{r} level {k} ({label}): table {want}, formula {got_formula}, enumeration {got_enum}"
             )

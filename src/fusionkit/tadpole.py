@@ -178,11 +178,6 @@ def zero_tadpole_formula(algebra: AlgebraId, level: int) -> int:
     return zero_tadpole_polynomial(algebra).evaluate(level)
 
 
-def branch_label(algebra: AlgebraId, level: int, kind: str = "adjoint") -> str:
-    poly = adjoint_tadpole_polynomial(algebra) if kind == "adjoint" else zero_tadpole_polynomial(algebra)
-    return poly.branch_label(level)
-
-
 # --- enumeration ---------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Consistency sweeps: closed-form rules against the folding oracle, tadpole
 formulas against enumeration, and the reference tables of `tables` against
 the data the rules and the tadpole sums read.  Used by the CLI `verify`
-command and the test suite."""
+command and the test suite.  A task is a check and its arguments, such as
+``(check_tadpole_methods, algebra, level)``, run by `_run` here or in a pool."""
 
 from __future__ import annotations
 
@@ -35,18 +36,20 @@ def check_rules_vs_oracle(algebra: AlgebraId, level: int) -> list[str]:
 def check_tadpole_methods(algebra: AlgebraId, level: int) -> list[str]:
     """Tadpole formulas against enumeration at one level (skipped if no form)."""
     rs = build(algebra)
-    kinds = [("zero", "vacuum", tadpole.zero_tadpole_enum, tadpole.zero_tadpole_formula)]
+    kinds = [(tadpole.zero_tadpole_polynomial, "vacuum", tadpole.zero_tadpole_enum,
+              tadpole.zero_tadpole_formula)]
     if level >= 2:
-        kinds.append(("adjoint", "adjoint", tadpole.adjoint_tadpole_enum, tadpole.adjoint_tadpole_formula))
+        kinds.append((tadpole.adjoint_tadpole_polynomial, "adjoint", tadpole.adjoint_tadpole_enum,
+                      tadpole.adjoint_tadpole_formula))
     bad = []
-    for kind, noun, enum, formula in kinds:
+    for polynomial, noun, enum, formula in kinds:
         try:
             closed = formula(algebra, level)
         except NoClosedForm:
             continue
         counted = enum(rs, level)
         if closed != counted:
-            label = tadpole.branch_label(algebra, level, kind)
+            label = polynomial(algebra).branch_label(level)
             bad.append(f"{algebra} level {level} {noun} tadpole ({label}): formula {closed}, enumeration {counted}")
     return bad
 
@@ -67,13 +70,8 @@ class VerifyReport:
         return not self.messages
 
 
-def _run_task(spec: tuple) -> list[str]:
-    kind = spec[0]
-    if kind == "rules":
-        return check_rules_vs_oracle(AlgebraId(spec[1], spec[2]), spec[3])
-    if kind == "tadpole":
-        return check_tadpole_methods(AlgebraId(spec[1], spec[2]), spec[3])
-    return check_reference_tables()
+def _run(task: tuple) -> list[str]:
+    return task[0](*task[1:])
 
 
 def run_verify(
@@ -84,8 +82,11 @@ def run_verify(
 ) -> VerifyReport:
     """Run the selected suites; mismatch messages come back in task order.
 
-    A selected suite that would compare nothing raises instead of passing.
+    A sweep that would compare nothing raises instead of passing: no suite,
+    an unknown suite, or a selected suite with nothing in its range.
     """
+    if not suites or not set(suites) <= set(ALL_SUITES):
+        raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
     if "rules" in suites and max_level < 2:
@@ -93,19 +94,20 @@ def run_verify(
     if "tadpole" in suites and max_level < 0:
         raise LevelTooSmall(f"the tadpole suite needs max_level >= 0, got {max_level}")
     algebras = algebras_up_to(max_rank)
-    specs: list[tuple] = []
+    # the checks are read from the module here, so a rebound attribute is the one run
+    tasks: list[tuple] = []
     if "rules" in suites:
-        specs += [("rules", a.family, a.rank, k) for a in algebras for k in range(2, max_level + 1)]
+        tasks += [(check_rules_vs_oracle, a, k) for a in algebras for k in range(2, max_level + 1)]
     if "tadpole" in suites:
-        specs += [("tadpole", a.family, a.rank, k) for a in algebras for k in range(max_level + 1)]
+        tasks += [(check_tadpole_methods, a, k) for a in algebras for k in range(max_level + 1)]
     if "tables" in suites:
-        specs.append(("tables",))
+        tasks.append((check_reference_tables,))
     if threads > 1:
         # imported here: multiprocessing costs every CLI call start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_task, specs))
+            results = list(pool.map(_run, tasks))
     else:
-        results = [_run_task(spec) for spec in specs]
-    return VerifyReport(len(specs), [m for chunk in results for m in chunk])
+        results = [_run(task) for task in tasks]
+    return VerifyReport(len(tasks), [m for chunk in results for m in chunk])

@@ -77,10 +77,6 @@ def enumerate_level(rs: RootSystem, level: int) -> Iterator[AffineWeight]:
     yield from rec(0, level, ())
 
 
-def nonzero_affine_labels(aff: AffineWeight) -> int:
-    return sum(1 for x in aff.labels if x != 0)
-
-
 def parse_weight(text: str) -> Weight:
     """Parse "1,0,2" into (1, 0, 2)."""
     parts = [p.strip() for p in text.split(",")]

@@ -243,6 +243,16 @@ def test_decomposition_container():
     dec = decompose_tensor(rs, (1, 1))
     assert dec.multiplicity((1, 1)) == 2
     assert dec.multiplicity((9, 9)) == 0
-    assert dec.total() == 6
+    assert sum(dec.entries.values()) == 6
     assert min(dec.entries) == (0, 0)
-    assert dec.level is None
+
+
+@pytest.mark.parametrize("mu", [(1,), (1, 0, 0, 0), (-1, 0, 0), (0, -2, 1)], ids=str)
+def test_tensor_entries_reject_a_bad_weight_alike(mu):
+    rs = build("B3")
+    errors = []
+    for tensor in (decompose_tensor, racah_speiser_tensor):
+        with pytest.raises((AlgebraMismatch, ValueError)) as info:
+            tensor(rs, mu)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]

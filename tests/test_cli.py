@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from fusionkit import (
     NoClosedForm,
     NotARoot,
     VerifyReport,
+    run_verify,
 )
+from fusionkit.verify import ALL_SUITES
 
 
 def run(capsys, *argv):
@@ -261,6 +264,17 @@ def test_verify_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_THREADS", "2")
     rc, out, _ = run(capsys, "verify", "--max-rank", "1", "--max-level", "2", "--suite", "tadpole")
     assert rc == 0
+
+
+def test_pooled_verify_equals_serial():
+    # every suite's tasks go through the pool's pickling; two processes start
+    assert run_verify(2, 3, threads=2) == run_verify(2, 3)
+
+
+@pytest.mark.parametrize("suites", [(), ("rule",), ("rules", "bogus")], ids=repr)
+def test_verify_refuses_unknown_or_no_suites(suites):
+    with pytest.raises(ValueError, match=re.escape(str(ALL_SUITES))):
+        run_verify(2, 3, suites)
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -13,7 +13,6 @@ from fusionkit import (
     adjoint_tadpole_formula,
     adjoint_tadpole_oracle,
     adjoint_tadpole_polynomial,
-    branch_label,
     build,
     enumerate_level,
     falling_power,
@@ -24,7 +23,6 @@ from fusionkit import (
 from fusionkit.algebra import algebras_up_to
 from fusionkit.tables import check_b_table
 from fusionkit.tadpole import _vacuum_counts
-from fusionkit.weights import nonzero_affine_labels
 
 # Frozen reference sequences for E6 (levels 0..19), from direct enumeration.
 E6_ZERO = (1, 3, 9, 20, 42, 78, 139, 231, 372, 573, 861, 1254, 1791, 2499,
@@ -67,11 +65,11 @@ def test_domain_floor_and_raw_evaluation():
 
 
 def test_branch_labels():
-    assert branch_label(AlgebraId("A", 3), 5) == "k=J"
-    assert branch_label(AlgebraId("B", 3), 4) == "k=2J"
-    assert branch_label(AlgebraId("B", 3), 5) == "k=2J+1"
-    assert branch_label(AlgebraId("E", 6), 12) == "k=6J"
-    assert branch_label(AlgebraId("E", 6), 13, "zero") == "k=6J+1"
+    assert adjoint_tadpole_polynomial(AlgebraId("A", 3)).branch_label(5) == "k=J"
+    assert adjoint_tadpole_polynomial(AlgebraId("B", 3)).branch_label(4) == "k=2J"
+    assert adjoint_tadpole_polynomial(AlgebraId("B", 3)).branch_label(5) == "k=2J+1"
+    assert adjoint_tadpole_polynomial(AlgebraId("E", 6)).branch_label(12) == "k=6J"
+    assert zero_tadpole_polynomial(AlgebraId("E", 6)).branch_label(13) == "k=6J+1"
 
 
 @pytest.mark.parametrize("name", ("E7", "E8", "F4", "G2"))
@@ -132,7 +130,7 @@ def test_counts_match_direct_enumeration(name):
         weights = list(enumerate_level(rs, k))
         assert zero_tadpole_enum(rs, k) == len(weights)
         if k >= 2:
-            assert adjoint_tadpole_enum(rs, k) == sum(nonzero_affine_labels(mu) - 1 for mu in weights)
+            assert adjoint_tadpole_enum(rs, k) == sum(sum(1 for x in mu.labels if x) - 1 for mu in weights)
 
 
 IDENTITY_CASES = [

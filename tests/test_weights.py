@@ -1,8 +1,8 @@
 import pytest
 
-from fusionkit import AffineWeight, LevelTooSmall, affinize, build, enumerate_level
+from fusionkit import AffineWeight, LevelTooSmall, affinize, build, diag_fusion, enumerate_level
 from fusionkit.tadpole import zero_tadpole_enum
-from fusionkit.weights import format_weight, nonzero_affine_labels, parse_weight
+from fusionkit.weights import format_weight, parse_weight
 
 
 def test_affinize_zeroth_label():
@@ -44,8 +44,9 @@ def test_enumerate_level_matches_polytope_count(name, level):
 
 
 def test_nonzero_affine_labels():
-    assert nonzero_affine_labels(AffineWeight(3, (1, 0, 2))) == 2
-    assert nonzero_affine_labels(AffineWeight(3, (0, 0, 0))) == 0
+    rs = build("A2")
+    assert diag_fusion(rs, AffineWeight(3, (1, 0, 2))) == 1
+    assert diag_fusion(rs, AffineWeight(3, (3, 0, 0))) == 0
 
 
 def test_parse_and_format():
