@@ -18,7 +18,7 @@ The tensor product, `decompose_tensor`, is `decompose` at the stable level
 counts as a nonzero label, which the "minus one" of the diagonal fusion count
 takes back; its weight is checked by `affinize`, as in the oracle's tensor
 form.  `FusionDecomposition` holds the coefficients alone, in `entries`; a
-single coefficient is its `multiplicity`.
+single coefficient is read as ``entries.get(nu, 0)``, as on the oracle's dict.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class FusionDecomposition:
     """Multiset of dominant weights with multiplicities."""
 
     entries: dict[Weight, int]
-
-    def multiplicity(self, nu: Weight) -> int:
-        return self.entries.get(tuple(nu), 0)
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +63,7 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
-    _check_affine(rs, mu, "affine weight")
+    _check_affine(rs, mu)
     return sum(1 for x in mu.labels if x) - 1
 
 

@@ -24,9 +24,7 @@ from operator import add, sub
 
 from .errors import AlgebraMismatch, InvalidRank, NotARoot
 
-FAMILIES = "ABCDEFG"
-
-# (min rank, max rank or None for unbounded)
+# family -> (min rank, max rank or None for unbounded), in family order A..G
 RANK_BOUNDS = {
     "A": (1, None),
     "B": (3, None),
@@ -41,8 +39,7 @@ RANK_BOUNDS = {
 def algebras_up_to(max_rank: int) -> list[AlgebraId]:
     """Every simple algebra with rank <= max_rank, family order A..G."""
     out = []
-    for family in FAMILIES:
-        lo, hi = RANK_BOUNDS[family]
+    for family, (lo, hi) in RANK_BOUNDS.items():
         top = max_rank if hi is None else min(hi, max_rank)
         out.extend(AlgebraId(family, r) for r in range(lo, top + 1))
     return out
@@ -83,7 +80,7 @@ def integer(text: str) -> int:
 def parse_algebra(text: str) -> AlgebraId:
     """Parse names like ``"B4"`` or ``"g2"`` (case-insensitive)."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in FAMILIES:
+    if len(text) < 2 or text[0].upper() not in RANK_BOUNDS:
         raise InvalidRank(f"cannot parse algebra name {text!r}")
     try:
         rank = integer(text[1:])
@@ -242,16 +239,12 @@ class RootSystem:
 
     # --- roots ----------------------------------------------------------
 
-    def labels_of(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """Dynkin labels of sum_j coords[j] * alpha_j."""
-        return tuple(
-            sum(coords[j] * self.cartan[j][i] for j in range(self.rank)) for i in range(self.rank)
-        )
-
     def root_at(self, coords: tuple[int, ...]) -> Root:
-        if coords not in self._depths:
-            raise NotARoot(f"{coords} is not a root of {self.algebra}")
-        return Root(coords, self.labels_of(coords))
+        """The root of ``rs.roots`` with these simple-root coordinates."""
+        for beta in self.roots:
+            if beta.coords == coords:
+                return beta
+        raise NotARoot(f"{coords} is not a root of {self.algebra}")
 
     # --- root strings ----------------------------------------------------
 

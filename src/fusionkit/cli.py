@@ -137,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _threads_from_env() -> int:
-    """FUSIONKIT_THREADS as a worker count: an integer >= 1, capped at the CPU count."""
+    """FUSIONKIT_THREADS as an integer >= 1; `run_verify` caps it at its task and CPU counts."""
     text = os.environ.get("FUSIONKIT_THREADS", "1")
     try:
         threads = integer(text.strip())
@@ -145,7 +145,7 @@ def _threads_from_env() -> int:
         threads = 0
     if threads < 1:
         raise ValueError(f"FUSIONKIT_THREADS must be an integer >= 1, got {text!r}")
-    return min(threads, os.cpu_count() or 1)
+    return threads
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

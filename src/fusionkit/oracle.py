@@ -49,7 +49,7 @@ def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
 
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
-    _check_affine(rs, mu, "affine weight")
+    _check_affine(rs, mu)
     k = mu.level
     shifted = [m + 1 for m in mu.finite]
     # (point, how many adjoint weights shift to it): the roots, then the r zeros

@@ -13,6 +13,7 @@ algebra is read by the conditions table alone).  The F4 strings are not shown;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .adjoint_rules import rule_table
 from .algebra import AlgebraId, RootSystem, algebras_up_to, build
@@ -91,13 +92,10 @@ G2_OFFDIAG_TABLE: tuple[tuple[tuple[int, int], tuple[int, int, int], int | None,
 def g2_offdiag_row(
     rs: RootSystem, coords: tuple[int, int]
 ) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
-    """Recompute one G2 table row from the rule table that `decompose` reads."""
+    """Recompute one G2 table row from `rule_table` and `nontrivial_conditions`."""
     beta = rs.root_at(coords)
     floor = rule_table(rs.algebra)[beta.labels]
-    star = None
-    for i in range(2):
-        if floor[1 + i] > max(0, -beta.labels[i]):
-            star = i
+    star = next((c.index for c in nontrivial_conditions(rs) if c.root == tuple(map(abs, coords))), None)
     delta = (-rs.theta_pairing(beta.labels),) + beta.labels
     return floor, star, delta
 
@@ -142,12 +140,9 @@ F4_STRING_TABLE: tuple[tuple[tuple[int, int, int, int], int, tuple[int, ...], tu
 def f4_string_row(
     rs: RootSystem, coords: tuple[int, int, int, int], i: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dynkin labels of beta - alpha_i and beta + alpha_i."""
-    below = list(coords)
-    below[i] -= 1
-    above = list(coords)
-    above[i] += 1
-    return rs.labels_of(tuple(below)), rs.labels_of(tuple(above))
+    """Dynkin labels of beta -/+ alpha_i: those of beta -/+ row i of the Cartan matrix."""
+    labels, row = rs.root_at(coords).labels, rs.cartan[i]
+    return tuple(map(sub, labels, row)), tuple(map(add, labels, row))
 
 
 def check_f4_table() -> list[str]:

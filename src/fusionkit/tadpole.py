@@ -42,7 +42,8 @@ def _poly_eval(p, x):
 
 
 def _check_level(kind: str, algebra: AlgebraId, level: int, floor: int) -> None:
-    """The level guard of every tadpole route, worded as `PiecewisePolynomial.evaluate`."""
+    """The level floor of every tadpole route (2 adjoint, 0 vacuum); the formula
+    routes check it before looking up a closed form."""
     if level < floor:
         raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {floor}, got {level}")
 
@@ -52,15 +53,14 @@ class PiecewisePolynomial:
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
     Branch t is a callable of J, where k = period * J + t, returning the exact
-    value (an int or a Fraction) of a polynomial in J.  `evaluate` enforces
-    the domain floor and integrality; `evaluate_raw` skips the floor
-    (recurrence identities legitimately consume values below it).
+    value (an int or a Fraction) of a polynomial in J.  Both evaluations
+    enforce integrality and `evaluate` refuses negatives; the level floor is
+    `_check_level`'s (recurrence identities legitimately read values below it).
     """
 
     name: str
     period: int
     branches: tuple[Callable[[int], Fraction], ...]
-    min_level: int
 
     def branch_label(self, level: int) -> str:
         if self.period == 1:
@@ -76,8 +76,6 @@ class PiecewisePolynomial:
         return int(value)
 
     def evaluate(self, level: int) -> int:
-        if level < self.min_level:
-            raise LevelTooSmall(f"{self.name} needs level >= {self.min_level}, got {level}")
         value = self.evaluate_raw(level)
         if value < 0:
             raise RuntimeError(f"{self.name} at level {level} is negative: {value}")
@@ -122,14 +120,14 @@ def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     if f in ("A", "C"):
         return PiecewisePolynomial(name, 1, (
             lambda j: Fraction((j - 1) * falling_power(j + r - 1, r - 1), factorial(r - 1)),
-        ), 2)
+        ))
     if f == "B":
         return PiecewisePolynomial(name, 2, (
             lambda j: Fraction(4 * falling_power(j + r - 1, r) - 3 * (r - 1) * falling_power(j + r - 2, r - 1)
                                - falling_power(j + r - 1, r - 1), factorial(r - 1)),
             lambda j: Fraction(4 * falling_power(j + r - 1, r) - (r - 2) * falling_power(j + r - 2, r - 1),
                                factorial(r - 1)),
-        ), 2)
+        ))
     if f == "D":
         # even: 8J (J+r-2)_{r-1} / (r-1)! + (r-4) (J+r-3)_{r-2} / (r-2)! - (J+r-3)_{r-3} / (r-3)!
         return PiecewisePolynomial(name, 2, (
@@ -138,9 +136,9 @@ def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
             ), factorial(r - 1)),
             lambda j: Fraction(8 * falling_power(j + r - 2, r) + 4 * (r + 2) * falling_power(j + r - 2, r - 1),
                                factorial(r - 1)),
-        ), 2)
+        ))
     if f == "E" and r == 6:
-        return PiecewisePolynomial(name, 6, _E6_ADJOINT, 2)
+        return PiecewisePolynomial(name, 6, _E6_ADJOINT)
     raise NoClosedForm(f"no closed-form adjoint tadpole for {algebra}")
 
 
@@ -149,12 +147,12 @@ def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
     name = f"vacuum tadpole[{algebra}]"
     if f in ("A", "C"):
-        return PiecewisePolynomial(name, 1, (lambda j: Fraction(falling_power(j + r, r), factorial(r)),), 0)
+        return PiecewisePolynomial(name, 1, (lambda j: Fraction(falling_power(j + r, r), factorial(r)),))
     if f == "B":
         return PiecewisePolynomial(name, 2, (
             lambda j: Fraction(falling_power(j + r, r) + 3 * falling_power(j + r - 1, r), factorial(r)),
             lambda j: Fraction(3 * falling_power(j + r, r) + falling_power(j + r - 1, r), factorial(r)),
-        ), 0)
+        ))
     if f == "D":
         # even: 8 (J+r-1)_r / r! + (J+r-2)_{r-2} / (r-2)!;  odd: 8 (J+r-1)_r / r! + 4 (J+r-1)_{r-1} / (r-1)!
         return PiecewisePolynomial(name, 2, (
@@ -162,9 +160,9 @@ def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
                                factorial(r)),
             lambda j: Fraction(8 * falling_power(j + r - 1, r) + 4 * r * falling_power(j + r - 1, r - 1),
                                factorial(r)),
-        ), 0)
+        ))
     if f == "E" and r == 6:
-        return PiecewisePolynomial(name, 6, _E6_ZERO, 0)
+        return PiecewisePolynomial(name, 6, _E6_ZERO)
     raise NoClosedForm(f"no closed-form vacuum tadpole for {algebra}")
 
 

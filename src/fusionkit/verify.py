@@ -6,6 +6,7 @@ command and the test suite.  A task is a check and its arguments, such as
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from . import tadpole
@@ -83,10 +84,13 @@ def run_verify(
     """Run the selected suites; mismatch messages come back in task order.
 
     A sweep that would compare nothing raises instead of passing: no suite,
-    an unknown suite, or a selected suite with nothing in its range.
+    an unknown suite, or a selected suite with nothing in its range.  A pool
+    starts all its workers at once, so it gets no more than there are tasks or CPUs.
     """
     if not suites or not set(suites) <= set(ALL_SUITES):
         raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
+    if threads < 1:
+        raise ValueError(f"verify needs threads >= 1, got {threads}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
     if "rules" in suites and max_level < 2:
@@ -102,11 +106,12 @@ def run_verify(
         tasks += [(check_tadpole_methods, a, k) for a in algebras for k in range(max_level + 1)]
     if "tables" in suites:
         tasks.append((check_reference_tables,))
-    if threads > 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: multiprocessing costs every CLI call start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run, tasks))
     else:
         results = [_run(task) for task in tasks]

@@ -47,19 +47,16 @@ def stable_level(rs: RootSystem, *weights: Weight) -> int:
     return max(rs.theta_pairing(w) for w in weights) + 2
 
 
-def _check_dominant(lam: Weight, size: int, what: str) -> None:
-    if len(lam) != size:
-        raise AlgebraMismatch(f"{what} {lam} needs {size} labels")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"{what} {lam} is not dominant")
-
-
-def _check_affine(rs: RootSystem, mu: AffineWeight, what: str) -> None:
+def _check_affine(rs: RootSystem, mu: AffineWeight) -> None:
+    """The input check of both adjoint fusion routes: level, length, dominance, level sum."""
     if mu.level < 2:
         raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
-    _check_dominant(mu.labels, rs.rank + 1, what)
+    if len(mu.labels) != rs.rank + 1:
+        raise AlgebraMismatch(f"affine weight {mu.labels} needs {rs.rank + 1} labels")
+    if any(x < 0 for x in mu.labels):
+        raise ValueError(f"affine weight {mu.labels} is not dominant")
     if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
-        raise LevelMismatch(f"{what} {mu.labels} does not lie at level {mu.level}")
+        raise LevelMismatch(f"affine weight {mu.labels} does not lie at level {mu.level}")
 
 
 def enumerate_level(rs: RootSystem, level: int) -> Iterator[AffineWeight]:

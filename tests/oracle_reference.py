@@ -83,7 +83,7 @@ def affine_fold(rs, x, level):
 
 def kac_walton_fusion(rs, mu):
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
-    _check_affine(rs, mu, "affine weight")
+    _check_affine(rs, mu)
     k = mu.level
     acc = {}
     for w in adjoint_weight_system(rs):

@@ -17,6 +17,7 @@ from fusionkit import (
     decompose_tensor,
     diag_fusion,
     enumerate_level,
+    kac_walton_fusion,
     nontrivial_conditions,
     racah_speiser_tensor,
     reference_nontrivial_conditions,
@@ -29,7 +30,7 @@ from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, off
 def test_diag_tensor_counts_nonzero_labels():
     rs = build("B3")
     for mu, count in (((0, 0, 0), 0), ((1, 0, 2), 2), ((1, 1, 1), 3)):
-        assert decompose_tensor(rs, mu).multiplicity(mu) == count
+        assert decompose_tensor(rs, mu).entries.get(mu, 0) == count
 
 
 def test_diag_fusion_drops_one_for_the_affine_label():
@@ -89,7 +90,7 @@ def test_fusion_g2_level3():
 
 def test_offdiag_errors():
     rs = build("A2")
-    with pytest.raises(LevelTooSmall):
+    with pytest.raises(LevelTooSmall, match=r"^adjoint fusion needs level >= 2, got 1$"):
         decompose(rs, AffineWeight(1, (1, 0, 0)))
     with pytest.raises(LevelTooSmall):
         decompose(rs, AffineWeight(1, (0, 1, 0)))
@@ -99,16 +100,31 @@ def test_offdiag_errors():
         decompose_tensor(rs, (0, -2))
     with pytest.raises(AlgebraMismatch):
         decompose_tensor(rs, (1,))
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(AlgebraMismatch, match=r"^affine weight \(1, 1, 1, 0\) needs 3 labels$"):
         decompose(rs, AffineWeight(3, (1, 1, 1, 0)))
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch, match=r"^affine weight \(5, 0, 0\) does not lie at level 2$"):
         decompose(rs, AffineWeight(2, (5, 0, 0)))
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch, match=r"^affine weight \(0, 2, 2\) does not lie at level 3$"):
         decompose(rs, AffineWeight(3, (0, 2, 2)))
     with pytest.raises(AlgebraMismatch):
         decompose_tensor(rs, (1, 0, 0))
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(AlgebraMismatch, match=r"^affine weight \(1, 1\) needs 3 labels$"):
         decompose(rs, AffineWeight(2, (1, 1)))
+
+
+@pytest.mark.parametrize("mu,error,message", [
+    (AffineWeight(1, (1, 0, 0)), LevelTooSmall, "adjoint fusion needs level >= 2, got 1"),
+    (AffineWeight(3, (1, 1)), AlgebraMismatch, "affine weight (1, 1) needs 3 labels"),
+    (AffineWeight(2, (1, -1, 2)), ValueError, "affine weight (1, -1, 2) is not dominant"),
+    (AffineWeight(3, (0, 2, 2)), LevelMismatch, "affine weight (0, 2, 2) does not lie at level 3"),
+], ids=["level-1", "short", "negative-label", "off-level"])
+def test_affine_weight_errors_alike(mu, error, message):
+    # the rules, the diagonal rule and the oracle share one check and its words
+    rs = build("A2")
+    for entry in (decompose, diag_fusion, kac_walton_fusion):
+        with pytest.raises(error) as caught:
+            entry(rs, mu)
+        assert (type(caught.value), str(caught.value)) == (error, message), entry.__name__
 
 
 SAMPLED = ("A3", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
@@ -241,8 +257,8 @@ def test_f4_table_lists_exactly_the_nontrivial_roots():
 def test_decomposition_container():
     rs = build("A2")
     dec = decompose_tensor(rs, (1, 1))
-    assert dec.multiplicity((1, 1)) == 2
-    assert dec.multiplicity((9, 9)) == 0
+    assert dec.entries.get((1, 1), 0) == 2
+    assert dec.entries.get((9, 9), 0) == 0
     assert sum(dec.entries.values()) == 6
     assert min(dec.entries) == (0, 0)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 import fusionkit.cli as cli
 import fusionkit.tables
 import fusionkit.tadpole
+import fusionkit.verify
 from fusionkit import (
     AlgebraMismatch,
     FusionError,
@@ -271,6 +273,48 @@ def test_pooled_verify_equals_serial():
     assert run_verify(2, 3, threads=2) == run_verify(2, 3)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool run_verify builds; the stand-in pool maps
+    in process, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_verify_pool_is_capped_at_the_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr(fusionkit.verify.os, "cpu_count", lambda: 4)
+    report = run_verify(2, 3, threads=10 ** 6)
+    assert pool_sizes == [4]
+    assert report == run_verify(2, 3)
+
+
+def test_verify_with_one_task_builds_no_pool(pool_sizes):
+    assert run_verify(2, 3, ("tables",), threads=2) == VerifyReport(1)
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_verify_refuses_fewer_than_one_thread(pool_sizes, threads):
+    with pytest.raises(ValueError, match=f"verify needs threads >= 1, got {threads}"):
+        run_verify(2, 3, threads=threads)
+    assert pool_sizes == []
+
+
 @pytest.mark.parametrize("suites", [(), ("rule",), ("rules", "bogus")], ids=repr)
 def test_verify_refuses_unknown_or_no_suites(suites):
     with pytest.raises(ValueError, match=re.escape(str(ALL_SUITES))):
@@ -290,17 +334,17 @@ def test_verify_refuses_empty_suites(capsys, argv, code):
 
 @pytest.mark.parametrize("value,threads", [
     ("two", None), ("0", None), ("-3", None), ("+2", None), ("1_0", None), ("\u0663", None), ("", None),
-    ("1", 1), ("8", 1), (" 2 ", 1),
+    ("1", 1), ("8", 8), (" 2 ", 2),
 ])
 def test_verify_threads_validated_and_capped(capsys, monkeypatch, value, threads):
-    # one CPU, and run_verify only records its worker count: nothing is started
+    # run_verify only records its worker count: nothing is started, and the
+    # CLI passes the value on for run_verify to cap
     seen = []
 
     def record(max_rank, max_level, suites, workers):
         seen.append(workers)
         return VerifyReport(0)
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(cli, "run_verify", record)
     monkeypatch.setenv("FUSIONKIT_THREADS", value)
     rc, _, err = run(capsys, "verify")

@@ -34,7 +34,7 @@ def test_non_integral_polynomial_raises_under_optimize():
     code = (
         "from fractions import Fraction\n"
         "from fusionkit import PiecewisePolynomial\n"
-        "p = PiecewisePolynomial('half', 1, (lambda j: Fraction(1, 2),), 0)\n"
+        "p = PiecewisePolynomial('half', 1, (lambda j: Fraction(1, 2),))\n"
         "try:\n"
         "    p.evaluate_raw(3)\n"
         "except RuntimeError:\n"

@@ -100,16 +100,16 @@ def test_kac_walton_frozen_values():
 
 def test_kac_walton_needs_level_two():
     a1 = build("A1")
-    with pytest.raises(LevelTooSmall):
+    with pytest.raises(LevelTooSmall, match=r"^adjoint fusion needs level >= 2, got 1$"):
         kac_walton_fusion(a1, affinize(a1, (1,), 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^affine weight \(3, -1\) is not dominant$"):
         kac_walton_fusion(a1, type(affinize(a1, (1,), 3))(3, (3, -1)))
     a2 = build("A2")
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(AlgebraMismatch, match=r"^affine weight \(1, 1, 1, 0\) needs 3 labels$"):
         kac_walton_fusion(a2, AffineWeight(3, (1, 1, 1, 0)))
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch, match=r"^affine weight \(5, 0, 0\) does not lie at level 2$"):
         kac_walton_fusion(a2, AffineWeight(2, (5, 0, 0)))
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch, match=r"^affine weight \(0, 2, 2\) does not lie at level 3$"):
         kac_walton_fusion(a2, AffineWeight(3, (0, 2, 2)))
     for malformed in ((1, 0, 0), (1,)):
         with pytest.raises(AlgebraMismatch):
