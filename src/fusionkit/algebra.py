@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* Dynkin nodes are 0-based in code.  Node numbering follows Bourbaki; for the
-  exceptional families the branch node of E_r is index 1.
+* Dynkin nodes are 0-based in code.  Node numbering follows Bourbaki; in E_r
+  node 1 hangs off the branch node, index 3.
 * The Cartan matrix is ``A[i][j] = (alpha_i, alpha_j^vee)``, so row ``i`` holds
   the Dynkin labels of the simple root ``alpha_i``.
 * Roots are stored as integer coordinate vectors in the simple-root basis.
@@ -89,64 +89,35 @@ def parse_algebra(text: str) -> AlgebraId:
     return AlgebraId(text[0].upper(), rank)
 
 
-def _bonds(algebra: AlgebraId) -> list[tuple[int, int, int, int]]:
-    """Edges of the Dynkin diagram as (i, j, A_ij, A_ji) with i < j."""
+def _dynkin(algebra: AlgebraId) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """The Cartan matrix and the symmetrizer, from one record of the Dynkin diagram.
+
+    The record is the simple edges, each setting ``A[i][j] = A[j][i] = -1``,
+    and for B, C, F and G the one multiple bond ``(i, j, m)`` from the long
+    node i to the short node j, which sets ``A[i][j] = -m``.  The symmetrizer
+    d makes ``A[i][j] d_j = (alpha_i, alpha_j)`` symmetric, with d = 1 on the
+    long roots.  The four non-simply-laced diagrams are chains, so the short
+    simple roots are the nodes on j's side of the multiple bond, each with
+    d = 1/m.
+    """
     f, r = algebra.family, algebra.rank
-    chain = [(i, i + 1, -1, -1) for i in range(r - 1)]
-    if f == "A":
-        return chain
-    if f == "B":
-        # short root at the tail: alpha_{r-1}
-        chain[-1] = (r - 2, r - 1, -2, -1)
-        return chain
-    if f == "C":
-        # long root at the tail
-        chain[-1] = (r - 2, r - 1, -1, -2)
-        return chain
+    edges = [(i, i + 1) for i in range(r - 1)]
     if f == "D":
-        chain = chain[: r - 2]
-        chain[-1] = (r - 3, r - 2, -1, -1)
-        chain.append((r - 3, r - 1, -1, -1))
-        return chain
-    if f == "E":
-        # Bourbaki: node 1 hangs off node 3 (0-based: 1 off 3)
-        edges = [(0, 2, -1, -1), (1, 3, -1, -1)]
-        edges += [(i, i + 1, -1, -1) for i in range(2, r - 1)]
-        return edges
-    if f == "F":
-        return [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)]
-    if f == "G":
-        # alpha_0 long, triple bond
-        return [(0, 1, -3, -1)]
-    raise InvalidRank(f"unknown family {f!r}")
-
-
-def _cartan_matrix(algebra: AlgebraId) -> tuple[tuple[int, ...], ...]:
-    r = algebra.rank
+        edges[-1] = (r - 3, r - 1)
+    elif f == "E":
+        # Bourbaki: node 1 hangs off node 3
+        edges[:2] = [(0, 2), (1, 3)]
     a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i, j, aij, aji in _bonds(algebra):
-        a[i][j] = aij
-        a[j][i] = aji
-    return tuple(tuple(row) for row in a)
-
-
-def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """d_i with d_i A[i][j] symmetric, normalised so max(d) = 1."""
-    r = len(cartan)
-    d: list[Fraction | None] = [None] * r
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(r):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                # d_i A_ij = d_j A_ji
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                stack.append(j)
-    if any(x is None for x in d):
-        raise RuntimeError("Dynkin diagram must be connected")
-    top = max(d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[union-attr]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    d = [Fraction(1)] * r
+    multiple = {"B": (r - 2, r - 1, 2), "C": (r - 1, r - 2, 2), "F": (1, 2, 2), "G": (0, 1, 3)}.get(f)
+    if multiple:
+        i, j, m = multiple
+        a[i][j] = -m
+        for s in range(j, r) if j > i else range(j + 1):
+            d[s] = Fraction(1, m)
+    return tuple(map(tuple, a)), tuple(d)
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -208,8 +179,7 @@ class RootSystem:
     def __init__(self, algebra: AlgebraId) -> None:
         self.algebra = algebra
         self.rank = algebra.rank
-        self.cartan = _cartan_matrix(algebra)
-        self.symmetrizer = _symmetrizer(self.cartan)
+        self.cartan, self.symmetrizer = _dynkin(algebra)
 
         found = _positive_roots(self.cartan)
         self.positive_roots = tuple(Root(c, found[c][0]) for c in sorted(found))

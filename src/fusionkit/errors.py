@@ -12,7 +12,7 @@ class InvalidRank(FusionError):
 
 
 class AlgebraMismatch(FusionError):
-    """Operands belong to different algebras or have the wrong length."""
+    """A weight has the wrong number of labels for its algebra."""
 
 
 class NotARoot(FusionError):
@@ -24,7 +24,7 @@ class LevelTooSmall(FusionError):
 
 
 class LevelMismatch(FusionError):
-    """Affine weights at different levels were combined."""
+    """An affine weight's labels, weighted by the comarks, do not sum to its level."""
 
 
 class NoClosedForm(FusionError):

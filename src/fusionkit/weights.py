@@ -37,14 +37,14 @@ def affinize(rs: RootSystem, lam: Weight, level: int) -> AffineWeight:
     return AffineWeight(level, (zero,) + tuple(lam))
 
 
-def stable_level(rs: RootSystem, *weights: Weight) -> int:
-    """The lowest level at which fusion with theta is the tensor product, for every w.
+def stable_level(rs: RootSystem, mu: Weight) -> int:
+    """The lowest level at which fusion of mu with theta is the tensor product.
 
-    theta (x) w holds w + theta at (theta, w) + 2, and no root beta has
-    (theta, beta) > 2, so at k = max (theta, w) + 2 no weight is dropped and
+    theta (x) mu holds mu + theta at (theta, mu) + 2, and no root beta has
+    (theta, beta) > 2, so at k = (theta, mu) + 2 no weight is dropped and
     every zeroth label is >= 2.
     """
-    return max(rs.theta_pairing(w) for w in weights) + 2
+    return rs.theta_pairing(mu) + 2
 
 
 def _check_affine(rs: RootSystem, mu: AffineWeight) -> None:

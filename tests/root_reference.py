@@ -9,6 +9,11 @@ theta.  The full quadratic form lives here, by two routes compared against
 each other: the inverse Cartan matrix, and the Killing-form identity summed
 over the positive roots of a built `RootSystem`.
 
+The Cartan matrix and the symmetrizer are built here a second way: the
+diagram as a list of bonds (i, j, A_ij, A_ji), and the symmetrizer by a walk
+over the finished matrix, as a cross-check of the one diagram record in
+`fusionkit.algebra`.
+
 It also holds the inner product, the root look-ups, the string heights and
 the plain and shifted reflections that only the tests need, as functions of
 a built `RootSystem`.
@@ -17,7 +22,67 @@ a built `RootSystem`.
 from fractions import Fraction
 from functools import lru_cache
 
-from fusionkit import Root
+from fusionkit import InvalidRank, Root
+
+
+def bonds(algebra):
+    """Edges of the Dynkin diagram as (i, j, A_ij, A_ji) with i < j."""
+    f, r = algebra.family, algebra.rank
+    chain = [(i, i + 1, -1, -1) for i in range(r - 1)]
+    if f == "A":
+        return chain
+    if f == "B":
+        # short root at the tail: alpha_{r-1}
+        chain[-1] = (r - 2, r - 1, -2, -1)
+        return chain
+    if f == "C":
+        # long root at the tail
+        chain[-1] = (r - 2, r - 1, -1, -2)
+        return chain
+    if f == "D":
+        chain = chain[: r - 2]
+        chain[-1] = (r - 3, r - 2, -1, -1)
+        chain.append((r - 3, r - 1, -1, -1))
+        return chain
+    if f == "E":
+        # Bourbaki: node 1 hangs off node 3 (0-based: 1 off 3)
+        edges = [(0, 2, -1, -1), (1, 3, -1, -1)]
+        edges += [(i, i + 1, -1, -1) for i in range(2, r - 1)]
+        return edges
+    if f == "F":
+        return [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)]
+    if f == "G":
+        # alpha_0 long, triple bond
+        return [(0, 1, -3, -1)]
+    raise InvalidRank(f"unknown family {f!r}")
+
+
+def cartan_matrix(algebra):
+    r = algebra.rank
+    a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j, aij, aji in bonds(algebra):
+        a[i][j] = aij
+        a[j][i] = aji
+    return tuple(tuple(row) for row in a)
+
+
+def symmetrizer_by_walk(cartan):
+    """d_j with A[i][j] d_j symmetric, normalised so max(d) = 1."""
+    r = len(cartan)
+    d = [None] * r
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(r):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                # d_i A_ji = d_j A_ij
+                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                stack.append(j)
+    if any(x is None for x in d):
+        raise RuntimeError("Dynkin diagram must be connected")
+    top = max(d)
+    return tuple(x / top for x in d)
 
 
 def roots_by_closure(cartan):

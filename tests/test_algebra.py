@@ -8,12 +8,14 @@ from fusionkit import (
     AlgebraMismatch,
     InvalidRank,
     NotARoot,
+    RootSystem,
     build,
     parse_algebra,
 )
 from fusionkit.algebra import algebras_up_to
 
 from root_reference import (
+    cartan_matrix,
     inner_product,
     killing_quadratic_form,
     labels_of,
@@ -24,6 +26,7 @@ from root_reference import (
     shifted_reflect,
     string_depth,
     string_height,
+    symmetrizer_by_walk,
 )
 
 
@@ -70,6 +73,19 @@ def test_symmetrizer_long_roots_normalised_to_one():
     assert build("C4").symmetrizer == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1)
     for name in ("A5", "D5", "E6"):
         assert all(d == 1 for d in build(name).symmetrizer)
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(40), ids=str)
+def test_diagram_record_matches_bond_list(algebra):
+    # the one diagram record against the bond list and the walk over the
+    # finished matrix; built uncached, so the rank-40 roots are not kept
+    rs = RootSystem(algebra)
+    a, d = rs.cartan, rs.symmetrizer
+    assert a == cartan_matrix(algebra)
+    assert d == symmetrizer_by_walk(a)
+    r = algebra.rank
+    assert all(a[i][j] * d[j] == a[j][i] * d[i] for i in range(r) for j in range(r))
+    assert max(d) == 1
 
 
 def test_quadratic_form_values():
