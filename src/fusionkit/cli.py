@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -136,21 +135,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _threads_from_env() -> int:
-    """FUSIONKIT_THREADS as an integer >= 1; `run_verify` caps it at its task and CPU counts."""
-    text = os.environ.get("FUSIONKIT_THREADS", "1")
-    try:
-        threads = integer(text.strip())
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"FUSIONKIT_THREADS must be an integer >= 1, got {text!r}")
-    return threads
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-    report = run_verify(args.max_rank, args.max_level, suites, _threads_from_env())
+    report = run_verify(args.max_rank, args.max_level, suites)
     if not args.json:
         for line in report.messages:
             print(line, file=sys.stderr)

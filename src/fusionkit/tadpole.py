@@ -22,6 +22,7 @@ from typing import Callable
 
 from .algebra import AlgebraId, RootSystem
 from .errors import LevelTooSmall, NoClosedForm
+from .oracle import kac_walton_fusion
 from .weights import enumerate_level
 
 
@@ -218,8 +219,6 @@ def zero_tadpole_oracle(rs: RootSystem, level: int) -> int:
 
 def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
-    from .oracle import kac_walton_fusion
-
     _check_level("adjoint", rs.algebra, level, 2)
     total = 0
     for mu in enumerate_level(rs, level):

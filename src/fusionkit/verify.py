@@ -2,11 +2,10 @@
 formulas against enumeration, and the reference tables of `tables` against
 the data the rules and the tadpole sums read.  Used by the CLI `verify`
 command and the test suite.  A task is a check and its arguments, such as
-``(check_tadpole_methods, algebra, level)``, run by `_run` here or in a pool."""
+``(check_tadpole_methods, algebra, level)``; the tasks run in process, in order."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import tadpole
@@ -71,26 +70,18 @@ class VerifyReport:
         return not self.messages
 
 
-def _run(task: tuple) -> list[str]:
-    return task[0](*task[1:])
-
-
 def run_verify(
     max_rank: int = 4,
     max_level: int = 6,
     suites: tuple[str, ...] = ALL_SUITES,
-    threads: int = 1,
 ) -> VerifyReport:
     """Run the selected suites; mismatch messages come back in task order.
 
     A sweep that would compare nothing raises instead of passing: no suite,
-    an unknown suite, or a selected suite with nothing in its range.  A pool
-    starts all its workers at once, so it gets no more than there are tasks or CPUs.
+    an unknown suite, or a selected suite with nothing in its range.
     """
     if not suites or not set(suites) <= set(ALL_SUITES):
         raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
-    if threads < 1:
-        raise ValueError(f"verify needs threads >= 1, got {threads}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
     if "rules" in suites and max_level < 2:
@@ -106,13 +97,5 @@ def run_verify(
         tasks += [(check_tadpole_methods, a, k) for a in algebras for k in range(max_level + 1)]
     if "tables" in suites:
         tasks.append((check_reference_tables,))
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: multiprocessing costs every CLI call start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, tasks))
-    else:
-        results = [_run(task) for task in tasks]
+    results = [check(*args) for check, *args in tasks]
     return VerifyReport(len(tasks), [m for chunk in results for m in chunk])

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import re
@@ -11,7 +10,6 @@ import pytest
 import fusionkit.cli as cli
 import fusionkit.tables
 import fusionkit.tadpole
-import fusionkit.verify
 from fusionkit import (
     AlgebraMismatch,
     FusionError,
@@ -20,7 +18,6 @@ from fusionkit import (
     LevelTooSmall,
     NoClosedForm,
     NotARoot,
-    VerifyReport,
     run_verify,
 )
 from fusionkit.verify import ALL_SUITES
@@ -253,66 +250,13 @@ def test_verify_json(capsys):
 
 
 def test_import_leaves_process_pool_unloaded():
-    # multiprocessing is only needed by pooled verify runs
+    # nothing in the package starts a process, so importing the CLI loads no pool machinery
     src = Path(cli.__file__).resolve().parents[1]
     code = "import sys, fusionkit.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("FUSIONKIT_THREADS", "2")
-    rc, out, _ = run(capsys, "verify", "--max-rank", "1", "--max-level", "2", "--suite", "tadpole")
-    assert rc == 0
-
-
-def test_pooled_verify_equals_serial():
-    # every suite's tasks go through the pool's pickling; two processes start
-    assert run_verify(2, 3, threads=2) == run_verify(2, 3)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every pool run_verify builds; the stand-in pool maps
-    in process, so no process starts."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
-
-
-def test_verify_pool_is_capped_at_the_cpu_count(monkeypatch, pool_sizes):
-    monkeypatch.setattr(fusionkit.verify.os, "cpu_count", lambda: 4)
-    report = run_verify(2, 3, threads=10 ** 6)
-    assert pool_sizes == [4]
-    assert report == run_verify(2, 3)
-
-
-def test_verify_with_one_task_builds_no_pool(pool_sizes):
-    assert run_verify(2, 3, ("tables",), threads=2) == VerifyReport(1)
-    assert pool_sizes == []
-
-
-@pytest.mark.parametrize("threads", [0, -2])
-def test_verify_refuses_fewer_than_one_thread(pool_sizes, threads):
-    with pytest.raises(ValueError, match=f"verify needs threads >= 1, got {threads}"):
-        run_verify(2, 3, threads=threads)
-    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("suites", [(), ("rule",), ("rules", "bogus")], ids=repr)
@@ -330,29 +274,6 @@ def test_verify_refuses_empty_suites(capsys, argv, code):
     rc, out, err = run(capsys, "verify", *argv)
     assert (rc, out) == (code, "")
     assert "error:" in err
-
-
-@pytest.mark.parametrize("value,threads", [
-    ("two", None), ("0", None), ("-3", None), ("+2", None), ("1_0", None), ("\u0663", None), ("", None),
-    ("1", 1), ("8", 8), (" 2 ", 2),
-])
-def test_verify_threads_validated_and_capped(capsys, monkeypatch, value, threads):
-    # run_verify only records its worker count: nothing is started, and the
-    # CLI passes the value on for run_verify to cap
-    seen = []
-
-    def record(max_rank, max_level, suites, workers):
-        seen.append(workers)
-        return VerifyReport(0)
-
-    monkeypatch.setattr(cli, "run_verify", record)
-    monkeypatch.setenv("FUSIONKIT_THREADS", value)
-    rc, _, err = run(capsys, "verify")
-    if threads is None:
-        assert (rc, seen) == (2, [])
-        assert "FUSIONKIT_THREADS" in err
-    else:
-        assert (rc, seen) == (0, [threads])
 
 
 def test_verify_detects_bad_formula(capsys, monkeypatch):
@@ -379,7 +300,6 @@ def _plant_g2_row(monkeypatch):
 ])
 def test_planted_table_error_fails_table_check_and_verify_alike(capsys, monkeypatch, name, plant, line):
     plant(monkeypatch)
-    monkeypatch.delenv("FUSIONKIT_THREADS", raising=False)
     rc, _, err = run(capsys, "table", name, "--check")
     assert (rc, err) == (4, line + "\n")
     rc, out, err = run(capsys, "verify", "--suite", "tables")

@@ -85,8 +85,7 @@ def test_matrix_is_recorded(golden):
 
 
 @pytest.mark.parametrize("argv", MATRIX, ids=_key)
-def test_transcript(capsys, monkeypatch, golden, argv):
-    monkeypatch.delenv("FUSIONKIT_THREADS", raising=False)
+def test_transcript(capsys, golden, argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     assert {"exit": rc, "stdout": captured.out, "stderr": captured.err} == golden[_key(argv)]

@@ -41,8 +41,7 @@ def test_every_subcommand_has_an_example():
 
 
 @pytest.mark.parametrize("argv,expected", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES])
-def test_cli_example(capsys, monkeypatch, argv, expected):
-    monkeypatch.delenv("FUSIONKIT_THREADS", raising=False)
+def test_cli_example(capsys, argv, expected):
     rc = cli.main(argv)
     assert (rc, capsys.readouterr().out) == (0, expected)
 
