@@ -11,7 +11,9 @@ with multiplicities that never exceed the rank:
   already forces mu_i >= max(0, -beta_i), so only the few (beta, i) with
   root-string depth exceeding that bound ever decide anything; those are the
   "nontrivial conditions", tabulated per family with the paper's other worked
-  tables in `tables`.
+  tables in `tables`.  `decompose` loops over `sparse_rule_rows`, the rows of
+  `rule_table` cut to their nonzero thresholds (1.4 to 2.1 of r + 1 per row);
+  the G2 and nontrivial-condition table checks read the full rows.
 
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, ge
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -61,6 +63,14 @@ def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
     return MappingProxyType(table)
 
 
+@lru_cache(maxsize=None)
+def sparse_rule_rows(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
+    """The rows of `rule_table` in order, each as (beta, ((i, t_i), ...)) with
+    only its thresholds t_i > 0: a zero threshold never fails."""
+    return tuple((beta, tuple((i, t) for i, t in enumerate(floor) if t))
+                 for beta, floor in rule_table(algebra).items())
+
+
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
     _check_affine(rs, mu)
@@ -79,7 +89,10 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     if d:
         entries[mu.finite] = d
     labels, finite = mu.labels, mu.finite
-    for beta, floor in rule_table(rs.algebra).items():
-        if all(map(ge, labels, floor)):
+    for beta, floor in sparse_rule_rows(rs.algebra):
+        for i, t in floor:
+            if labels[i] < t:
+                break
+        else:
             entries[tuple(map(add, finite, beta))] = 1
     return FusionDecomposition(entries)

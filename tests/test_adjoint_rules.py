@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add, ge
 
 import pytest
 
@@ -22,6 +23,8 @@ from fusionkit import (
     racah_speiser_tensor,
     reference_nontrivial_conditions,
 )
+from fusionkit import adjoint_rules
+from fusionkit.adjoint_rules import rule_table, sparse_rule_rows
 from fusionkit.algebra import algebras_up_to
 from fusionkit.tables import f4_string_row, g2_offdiag_row
 from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, offdiag_endpoint
@@ -197,6 +200,73 @@ def test_reference_encodings_agree_with_rule_table(algebra):
                 assert fused.get(nu, 0) == want, (mu, nu)
                 compared += 1
     assert compared > 0
+
+
+def _full_row_entries(rs, mu):
+    """decompose as it was before the sparse rows: every row of `rule_table`
+    compared on all r + 1 labels, in row order."""
+    entries = {}
+    d = diag_fusion(rs, mu)
+    if d:
+        entries[mu.finite] = d
+    for beta, floor in rule_table(rs.algebra).items():
+        if all(map(ge, mu.labels, floor)):
+            entries[tuple(map(add, mu.finite, beta))] = 1
+    return list(entries.items())
+
+
+def _sparse_mismatches(algebra, levels):
+    rs = build(algebra)
+    return [mu for level in levels for mu in enumerate_level(rs, level)
+            if list(decompose(rs, mu).entries.items()) != _full_row_entries(rs, mu)]
+
+
+FULL_ROW_GRIDS = [(algebra, range(2, 7)) for algebra in algebras_up_to(4)] + [
+    (AlgebraId("E", 6), range(2, 5)), (AlgebraId("E", 7), range(2, 4)), (AlgebraId("E", 8), range(2, 4))]
+
+
+@pytest.mark.parametrize("algebra,levels", FULL_ROW_GRIDS, ids=[str(algebra) for algebra, _ in FULL_ROW_GRIDS])
+def test_sparse_rows_decompose_as_full_rows(algebra, levels):
+    # same entries in the same insertion order as the full-row loop
+    assert _sparse_mismatches(algebra, levels) == []
+
+
+def _theta_level(rs, beta, i, t):
+    return beta == rs.highest_root.labels and i == 0
+
+
+def _root_string(rs, beta, i, t):
+    return i > 0 and t > max(0, -beta[i - 1])
+
+
+@pytest.mark.parametrize("name,lost", [("A2", _theta_level), ("G2", _root_string), ("F4", _root_string)])
+def test_full_row_cross_check_catches_a_dropped_condition(name, lost, monkeypatch):
+    # plant one lost threshold in the sparse rows (theta's zeroth label, or the
+    # first nontrivial root-string condition): the cross-check must see it
+    rs = build(name)
+    rows = list(sparse_rule_rows(rs.algebra))
+    n = next(n for n, (beta, floor) in enumerate(rows) if any(lost(rs, beta, *pair) for pair in floor))
+    beta, floor = rows[n]
+    rows[n] = (beta, tuple(pair for pair in floor if not lost(rs, beta, *pair)))
+    assert len(rows[n][1]) == len(floor) - 1
+    monkeypatch.setattr(adjoint_rules, "sparse_rule_rows", lambda algebra: tuple(rows))
+    assert _sparse_mismatches(rs.algebra, range(2, 7)) != []
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
+def test_sparse_rows_are_the_nonzero_thresholds(algebra):
+    table = rule_table(algebra)
+    rows = sparse_rule_rows(algebra)
+    assert [beta for beta, _ in rows] == list(table)
+    for beta, floor in rows:
+        assert floor, beta
+        indices = [i for i, _ in floor]
+        assert indices == sorted(set(indices))
+        assert all(0 < t <= 3 for _, t in floor), beta
+        full = [0] * len(table[beta])
+        for i, t in floor:
+            full[i] = t
+        assert tuple(full) == table[beta]
 
 
 def test_nontrivial_conditions_match_reference_everywhere():
