@@ -7,13 +7,13 @@ with multiplicities that never exceed the rank:
   one for the affine zeroth label in the fusion case;
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
-  weight of beta, one row per root in `rule_table`.  Dominance of mu and nu
-  already forces mu_i >= max(0, -beta_i), so only the few (beta, i) with
-  root-string depth exceeding that bound ever decide anything; those are the
-  "nontrivial conditions", tabulated per family with the paper's other worked
-  tables in `tables`.  `decompose` loops over `sparse_rule_rows`, the rows of
-  `rule_table` cut to their nonzero thresholds (1.4 to 2.1 of r + 1 per row);
-  the G2 and nontrivial-condition table checks read the full rows.
+  weight of beta, one row per root in `rule_table`.  A row keeps only the
+  nonzero thresholds of that weight (1.4 to 2.1 of r + 1 per row), since a
+  zero threshold never fails.  Dominance of mu and nu already forces
+  mu_i >= max(0, -beta_i), so only the few (beta, i) with root-string depth
+  exceeding that bound ever decide anything; those are the "nontrivial
+  conditions", tabulated per family with the paper's other worked tables in
+  `tables`, which read them off the same rows.
 
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from types import MappingProxyType
-from typing import Mapping
 
 from .algebra import AlgebraId, RootSystem, build
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
@@ -43,32 +41,24 @@ class FusionDecomposition:
 
 
 @lru_cache(maxsize=None)
-def rule_table(algebra: AlgebraId) -> Mapping[Weight, tuple[int, ...]]:
-    """The off-diagonal rule: Dynkin labels of each root beta -> its minimal
-    affine weight (t_0; t_1, ..., t_r).
+def rule_table(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
+    """The off-diagonal rule: one row (beta, ((i, t_i), ...)) per root beta, in
+    the order of ``rs.roots``, holding the Dynkin labels of beta and the
+    nonzero labels t_i of its minimal affine weight (t_0; t_1, ..., t_r).
 
     theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
     label by label, with t_0 = max(0, (theta, beta)) and
     t_i = max(0, -beta_i, d_i(beta)).  The t_i >= -beta_i part is dominance of
-    mu + beta, t_0 <= 2 is its zeroth label staying >= 0.  Rows follow the
-    order of ``rs.roots``.
+    mu + beta, t_0 <= 2 is its zeroth label staying >= 0.
     """
     rs = build(algebra)
-    table: dict[Weight, tuple[int, ...]] = {}
+    rows = []
     for beta in rs.roots:
-        t0 = max(0, rs.theta_pairing(beta.labels))
-        table[beta.labels] = (t0,) + tuple(
-            max(0, -label, depth) for label, depth in zip(beta.labels, rs.depth_weight(beta))
+        floor = (max(0, rs.theta_pairing(beta.labels)),) + tuple(
+            max(0, -label, depth) for label, depth in zip(beta.labels, beta.depth)
         )
-    return MappingProxyType(table)
-
-
-@lru_cache(maxsize=None)
-def sparse_rule_rows(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
-    """The rows of `rule_table` in order, each as (beta, ((i, t_i), ...)) with
-    only its thresholds t_i > 0: a zero threshold never fails."""
-    return tuple((beta, tuple((i, t) for i, t in enumerate(floor) if t))
-                 for beta, floor in rule_table(algebra).items())
+        rows.append((beta.labels, tuple((i, t) for i, t in enumerate(floor) if t)))
+    return tuple(rows)
 
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
@@ -89,7 +79,7 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     if d:
         entries[mu.finite] = d
     labels, finite = mu.labels, mu.finite
-    for beta, floor in sparse_rule_rows(rs.algebra):
+    for beta, floor in rule_table(rs.algebra):
         for i, t in floor:
             if labels[i] < t:
                 break

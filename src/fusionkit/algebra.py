@@ -125,12 +125,14 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
 
     Maps the coordinates of each positive root beta to (labels, p), where p_i
     is the length of the alpha_i-string below beta.  That string runs from
-    beta - p_i alpha_i to beta + (p_i - beta_i) alpha_i, so beta + alpha_i is a
-    root exactly when p_i > beta_i, and its labels are those of beta plus row i
-    of the Cartan matrix.  p_i(alpha_i) = 2: that string passes through 0 to
-    -alpha_i.  Above height 1 the strings below a root are positive and
-    unbroken, so p_j(gamma) is p_j(gamma - alpha_j) + 1 when gamma - alpha_j
-    is a root of the layer below, and 0 otherwise; no p exceeds 3.
+    beta - p_i alpha_i to beta + (p_i - beta_i) alpha_i, so the depth
+    d_i(beta) that `RootSystem` stores in `Root.depth` is p_i - beta_i, and
+    beta + alpha_i is a root exactly when p_i > beta_i; its labels are those
+    of beta plus row i of the Cartan matrix.  p_i(alpha_i) = 2: that string
+    passes through 0 to -alpha_i.  Above height 1 the strings below a root are
+    positive and unbroken, so p_j(gamma) is p_j(gamma - alpha_j) + 1 when
+    gamma - alpha_j is a root of the layer below, and 0 otherwise; no p
+    exceeds 3.
     """
     r = len(cartan)
     layer = [tuple(int(i == j) for j in range(r)) for i in range(r)]
@@ -156,17 +158,23 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
 
 @dataclass(frozen=True)
 class Root:
-    """A root: simple-root coordinates plus the derived Dynkin labels."""
+    """A root: simple-root coordinates, the derived Dynkin labels, and the
+    depth vector (d_0(beta), ..., d_{r-1}(beta)), where d_i is the largest u
+    with beta + u alpha_i a root."""
 
     coords: tuple[int, ...]
     labels: tuple[int, ...]
+    depth: tuple[int, ...]
 
     @property
     def height(self) -> int:
         return sum(self.coords)
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords), tuple(-l for l in self.labels))
+        # the alpha_i-string through -beta is the one through beta, reversed:
+        # its depth is the height of beta on it, d_i(beta) + beta_i
+        return Root(tuple(-c for c in self.coords), tuple(-l for l in self.labels),
+                    tuple(map(add, self.depth, self.labels)))
 
 
 class RootSystem:
@@ -182,11 +190,9 @@ class RootSystem:
         self.cartan, self.symmetrizer = _dynkin(algebra)
 
         found = _positive_roots(self.cartan)
-        self.positive_roots = tuple(Root(c, found[c][0]) for c in sorted(found))
+        self.positive_roots = tuple(Root(c, labels, tuple(map(sub, below, labels)))
+                                    for c, (labels, below) in sorted(found.items()))
         self.roots = self.positive_roots + tuple(-b for b in self.positive_roots)
-        # depth vectors of both signs: d(beta) = p(beta) - labels(beta), d(-beta) = p(beta)
-        self._depths = {b.coords: tuple(map(sub, found[b.coords][1], b.labels)) for b in self.positive_roots}
-        self._depths.update((tuple(-c for c in coords), below) for coords, (_, below) in found.items())
 
         top = max(self.positive_roots, key=lambda b: b.height)
         if sum(1 for b in self.positive_roots if b.height == top.height) != 1:
@@ -215,15 +221,6 @@ class RootSystem:
             if beta.coords == coords:
                 return beta
         raise NotARoot(f"{coords} is not a root of {self.algebra}")
-
-    # --- root strings ----------------------------------------------------
-
-    def depth_weight(self, beta: Root) -> tuple[int, ...]:
-        """(d_0(beta), ..., d_{r-1}(beta)): d_i is the largest u with beta + u alpha_i a root."""
-        depths = self._depths.get(beta.coords)
-        if depths is None:
-            raise NotARoot(f"{beta.coords} is not a root of {self.algebra}")
-        return depths
 
 
 # positive-root counts, used as a build-time sanity check

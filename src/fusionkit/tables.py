@@ -7,7 +7,7 @@ the name of each table the CLI shows to (check, show): ``check()`` returns the
 mismatch lines and a summary (one line, or a list of lines), and
 ``show(algebra)`` returns the JSON fields and the text lines of the table (the
 algebra is read by the conditions table alone).  The F4 strings are not shown;
-`check_f4_table` rechecks them.
+the conditions check runs `check_f4_table`, as its F4 rows come from them.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def g2_offdiag_row(
 ) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
     """Recompute one G2 table row from `rule_table` and `nontrivial_conditions`."""
     beta = rs.root_at(coords)
-    floor = rule_table(rs.algebra)[beta.labels]
+    thresholds = dict(dict(rule_table(rs.algebra))[beta.labels])
+    floor = tuple(thresholds.get(i, 0) for i in range(rs.rank + 1))
     star = next((c.index for c in nontrivial_conditions(rs) if c.root == tuple(map(abs, coords))), None)
     delta = (-rs.theta_pairing(beta.labels),) + beta.labels
     return floor, star, delta
@@ -175,17 +176,17 @@ def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
     """All root-string conditions that dominance does not already imply, read
     off the `rule_table` rows that `decompose` reads.
 
-    Row beta pins node i when t_i exceeds the dominance bound max(0, -beta_i).
-    Nontriviality is sign-symmetric (d_i(-beta) = d_i(beta) + beta_i), so each
-    condition is recorded once on the positive root, with the thresholds of
-    rows beta and -beta.
+    Row beta pins finite node i - 1 when its threshold t_i > 0 exceeds the
+    dominance bound -beta_{i-1}.  Nontriviality is sign-symmetric
+    (d_i(-beta) = d_i(beta) + beta_i), so each condition is recorded once on
+    the positive root, with the thresholds of rows beta and -beta.
     """
-    table = rule_table(rs.algebra)
+    rows = dict(rule_table(rs.algebra))
     out = []
     for beta in rs.positive_roots:
-        plus, minus = table[beta.labels], table[(-beta).labels]
-        out += (NontrivialCondition(beta.coords, i, plus[1 + i], minus[1 + i])
-                for i in range(rs.rank) if plus[1 + i] > max(0, -beta.labels[i]))
+        minus = dict(rows[(-beta).labels])
+        out += (NontrivialCondition(beta.coords, i - 1, t, minus.get(i, 0))
+                for i, t in rows[beta.labels] if i and t > -beta.labels[i - 1])
     return tuple(sorted(out, key=lambda c: (c.root, c.index)))
 
 
@@ -223,7 +224,8 @@ def condition_algebras() -> list[AlgebraId]:
 
 
 def check_condition_tables() -> tuple[list[str], list[str]]:
-    """Generated conditions against the tabulated ones, one summary line per algebra."""
+    """Generated conditions against the tabulated ones, one summary line per
+    algebra; then the F4 strings, whose roots and nodes the F4 rows list."""
     bad = []
     lines = []
     for algebra in condition_algebras():
@@ -234,7 +236,7 @@ def check_condition_tables() -> tuple[list[str], list[str]]:
         else:
             bad.append(f"{algebra}: generated conditions {got} differ from tabulated {want}")
             lines.append(f"{algebra}: MISMATCH")
-    return bad, lines
+    return bad + check_f4_table(), lines
 
 
 def _show_conditions(algebra: AlgebraId | None) -> tuple[dict, list[str]]:

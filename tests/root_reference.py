@@ -22,7 +22,7 @@ a built `RootSystem`.
 from fractions import Fraction
 from functools import lru_cache
 
-from fusionkit import InvalidRank, Root
+from fusionkit import InvalidRank
 
 
 def bonds(algebra):
@@ -187,12 +187,11 @@ def root_from_labels(rs, labels):
 
 def string_height(rs, beta, i):
     """Largest u with beta - u alpha_i a root: h - d = beta_i along the alpha_i string."""
-    return rs.depth_weight(beta)[i] + beta.labels[i]
+    return beta.depth[i] + beta.labels[i]
 
 
 def simple_root(rs, i):
-    coords = tuple(int(i == j) for j in range(rs.rank))
-    return Root(coords, tuple(rs.cartan[i]))
+    return rs.root_at(tuple(int(i == j) for j in range(rs.rank)))
 
 
 def reflect(rs, lam, i):

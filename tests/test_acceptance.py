@@ -198,7 +198,7 @@ def test_criterion_7_structural_invariants():
                     down = [u for u in range(5)
                             if tuple(c - u * a for c, a in zip(beta.coords, alpha.coords)) in coords_set]
                     depth, height = max(up), max(down)
-                    assert depth == rs.depth_weight(beta)[i]
+                    assert depth == beta.depth[i]
                     assert height == string_height(rs, beta, i)
                     assert height - depth == beta.labels[i]
                     assert len(up) + len(down) - 1 <= 4  # u = 0 counted twice

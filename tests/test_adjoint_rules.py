@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 from operator import add, ge
 
 import pytest
@@ -24,7 +25,7 @@ from fusionkit import (
     reference_nontrivial_conditions,
 )
 from fusionkit import adjoint_rules
-from fusionkit.adjoint_rules import rule_table, sparse_rule_rows
+from fusionkit.adjoint_rules import rule_table
 from fusionkit.algebra import algebras_up_to
 from fusionkit.tables import f4_string_row, g2_offdiag_row
 from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, offdiag_endpoint
@@ -202,14 +203,24 @@ def test_reference_encodings_agree_with_rule_table(algebra):
     assert compared > 0
 
 
+@lru_cache(maxsize=None)
+def _full_rows(rs):
+    """The full off-diagonal rule, one row per root in `rs.roots` order: the
+    Dynkin labels of beta and its whole minimal affine weight (t_0; t_1..t_r),
+    t_0 = max(0, (theta, beta)), t_i = max(0, -beta_i, d_i(beta))."""
+    return tuple((beta.labels, (max(0, rs.theta_pairing(beta.labels)),)
+                  + tuple(max(0, -label, depth) for label, depth in zip(beta.labels, beta.depth)))
+                 for beta in rs.roots)
+
+
 def _full_row_entries(rs, mu):
-    """decompose as it was before the sparse rows: every row of `rule_table`
-    compared on all r + 1 labels, in row order."""
+    """decompose as it was before the sparse rows: every full row compared on
+    all r + 1 labels, in row order."""
     entries = {}
     d = diag_fusion(rs, mu)
     if d:
         entries[mu.finite] = d
-    for beta, floor in rule_table(rs.algebra).items():
+    for beta, floor in _full_rows(rs):
         if all(map(ge, mu.labels, floor)):
             entries[tuple(map(add, mu.finite, beta))] = 1
     return list(entries.items())
@@ -241,32 +252,32 @@ def _root_string(rs, beta, i, t):
 
 @pytest.mark.parametrize("name,lost", [("A2", _theta_level), ("G2", _root_string), ("F4", _root_string)])
 def test_full_row_cross_check_catches_a_dropped_condition(name, lost, monkeypatch):
-    # plant one lost threshold in the sparse rows (theta's zeroth label, or the
+    # plant one lost threshold in `rule_table` (theta's zeroth label, or the
     # first nontrivial root-string condition): the cross-check must see it
     rs = build(name)
-    rows = list(sparse_rule_rows(rs.algebra))
+    rows = list(rule_table(rs.algebra))
     n = next(n for n, (beta, floor) in enumerate(rows) if any(lost(rs, beta, *pair) for pair in floor))
     beta, floor = rows[n]
     rows[n] = (beta, tuple(pair for pair in floor if not lost(rs, beta, *pair)))
     assert len(rows[n][1]) == len(floor) - 1
-    monkeypatch.setattr(adjoint_rules, "sparse_rule_rows", lambda algebra: tuple(rows))
+    monkeypatch.setattr(adjoint_rules, "rule_table", lambda algebra: tuple(rows))
     assert _sparse_mismatches(rs.algebra, range(2, 7)) != []
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
 def test_sparse_rows_are_the_nonzero_thresholds(algebra):
-    table = rule_table(algebra)
-    rows = sparse_rule_rows(algebra)
-    assert [beta for beta, _ in rows] == list(table)
-    for beta, floor in rows:
+    table = _full_rows(build(algebra))
+    rows = rule_table(algebra)
+    assert [beta for beta, _ in rows] == [beta for beta, _ in table]
+    for (beta, floor), (_, want) in zip(rows, table):
         assert floor, beta
         indices = [i for i, _ in floor]
         assert indices == sorted(set(indices))
         assert all(0 < t <= 3 for _, t in floor), beta
-        full = [0] * len(table[beta])
+        full = [0] * len(want)
         for i, t in floor:
             full[i] = t
-        assert tuple(full) == table[beta]
+        assert tuple(full) == want
 
 
 def test_nontrivial_conditions_match_reference_everywhere():
@@ -314,7 +325,7 @@ def test_f4_string_rows_regenerate():
         # the string pinches exactly these roots: label 0 at i but depth 1
         beta = rs.root_at(coords)
         assert beta.labels[i] == 0
-        assert rs.depth_weight(beta)[i] == 1
+        assert beta.depth[i] == 1
 
 
 def test_f4_table_lists_exactly_the_nontrivial_roots():

@@ -125,7 +125,7 @@ def test_roots_match_closure_reference(name):
     for beta in rs.roots:
         assert beta.labels == labels_of(rs.cartan, beta.coords)
         depths = tuple(string_depth(closure, beta.coords, i) for i in range(rs.rank))
-        assert rs.depth_weight(beta) == depths, beta.coords
+        assert beta.depth == depths, beta.coords
 
 
 # exponents of the exceptional algebras (Humphreys, Reflection groups and
@@ -235,7 +235,7 @@ def test_string_depth_height_relation():
         rs = build(name)
         for beta in rs.roots:
             for i in range(rs.rank):
-                d = rs.depth_weight(beta)[i]
+                d = beta.depth[i]
                 h = string_height(rs, beta, i)
                 assert h - d == beta.labels[i]
                 assert 0 <= d <= 3 and 0 <= h <= 3
@@ -244,21 +244,21 @@ def test_string_depth_height_relation():
 def test_string_through_own_direction_skips_zero():
     rs = build("A1")
     alpha = rs.root_at((1,))
-    assert rs.depth_weight(alpha) == (0,)
+    assert alpha.depth == (0,)
     assert string_height(rs, alpha, 0) == 2
     minus = rs.root_at((-1,))
-    assert rs.depth_weight(minus) == (2,)
+    assert minus.depth == (2,)
 
 
 def test_g2_longest_string():
     rs = build("G2")
-    assert rs.depth_weight(rs.root_at((1, 0))) == (0, 3)
+    assert rs.root_at((1, 0)).depth == (0, 3)
 
 
 def test_depth_weight_vanishes_only_at_theta():
     for name in ("A3", "B3", "C3", "D4", "G2", "F4"):
         rs = build(name)
-        zeros = [b for b in rs.roots if rs.depth_weight(b) == (0,) * rs.rank]
+        zeros = [b for b in rs.roots if b.depth == (0,) * rs.rank]
         assert zeros == [rs.highest_root]
 
 

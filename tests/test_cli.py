@@ -293,10 +293,19 @@ def _plant_g2_row(monkeypatch):
     monkeypatch.setattr(fusionkit.tables, "G2_OFFDIAG_TABLE", (((1, 0), (1, 0, 2), None, (-1, 2, -3)),) + rows[1:])
 
 
+def _plant_f4_string(monkeypatch):
+    # a wrong string end, with the root and node the F4 conditions read kept
+    rows = fusionkit.tables.F4_STRING_TABLE
+    monkeypatch.setattr(fusionkit.tables, "F4_STRING_TABLE",
+                        (((0, 1, 1, 0), 2, (-1, 2, -2, 1), (-1, 0, 2, -2)),) + rows[1:])
+
+
 @pytest.mark.parametrize("name,plant,line", [
     ("b-tadpoles", _plant_b_cell, "B4 level 7 (k=2J+1): table 221, formula 220, enumeration 220"),
     ("g2-offdiag", _plant_g2_row, "G2 row (1, 0): tabulated ((1, 0, 2), None, (-1, 2, -3)), "
                                   "regenerated ((1, 0, 3), None, (-1, 2, -3))"),
+    ("nontrivial", _plant_f4_string, "F4 string (0, 1, 1, 0) node 3: tabulated ((-1, 2, -2, 1), (-1, 0, 2, -2)), "
+                                     "regenerated ((-1, 2, -2, 0), (-1, 0, 2, -2))"),
 ])
 def test_planted_table_error_fails_table_check_and_verify_alike(capsys, monkeypatch, name, plant, line):
     plant(monkeypatch)

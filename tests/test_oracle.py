@@ -199,7 +199,8 @@ def test_oracle_equals_reference_fold():
             assert racah_speiser_tensor(rs, mu) == want, (algebra, mu)
 
 
-_RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "nontrivial_conditions", "decompose"}
+_RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "depth", "nontrivial_conditions",
+               "decompose"}
 
 
 def _package_imports(tree):
