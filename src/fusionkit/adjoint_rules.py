@@ -9,9 +9,10 @@ with multiplicities that never exceed the rank:
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
   weight of beta, one row per root in `rule_table`.  A row keeps only the
   nonzero thresholds of that weight (1.4 to 2.1 of r + 1 per row), since a
-  zero threshold never fails.  Dominance of mu and nu already forces
-  mu_i >= max(0, -beta_i), so only the few (beta, i) with root-string depth
-  exceeding that bound ever decide anything; those are the "nontrivial
+  zero threshold never fails.  The finite thresholds are the root-string
+  depths d_i(beta), never below the bound max(0, -beta_i) that dominance of
+  mu and nu already forces, so only the few (beta, i) with depth exceeding
+  that bound decide anything beyond dominance; those are the "nontrivial
   conditions", tabulated per family with the paper's other worked tables in
   `tables`, which read them off the same rows.
 
@@ -47,16 +48,16 @@ def rule_table(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int],
     nonzero labels t_i of its minimal affine weight (t_0; t_1, ..., t_r).
 
     theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
-    label by label, with t_0 = max(0, (theta, beta)) and
-    t_i = max(0, -beta_i, d_i(beta)).  The t_i >= -beta_i part is dominance of
-    mu + beta, t_0 <= 2 is its zeroth label staying >= 0.
+    label by label, with t_0 = max(0, (theta, beta)) and t_i = d_i(beta), the
+    depth of beta on node i.  The alpha_i-string through beta runs p >= 0 steps
+    below it and d_i(beta) >= 0 above, with p - d_i(beta) = beta_i, so
+    t_i >= max(0, -beta_i): the row implies dominance of mu + beta, and
+    t_0 >= (theta, beta) keeps its zeroth label >= 0.
     """
     rs = build(algebra)
     rows = []
     for beta in rs.roots:
-        floor = (max(0, rs.theta_pairing(beta.labels)),) + tuple(
-            max(0, -label, depth) for label, depth in zip(beta.labels, beta.depth)
-        )
+        floor = (max(0, rs.theta_pairing(beta.labels)),) + beta.depth
         rows.append((beta.labels, tuple((i, t) for i, t in enumerate(floor) if t)))
     return tuple(rows)
 

@@ -159,8 +159,8 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
 @dataclass(frozen=True)
 class Root:
     """A root: simple-root coordinates, the derived Dynkin labels, and the
-    depth vector (d_0(beta), ..., d_{r-1}(beta)), where d_i is the largest u
-    with beta + u alpha_i a root."""
+    depth vector (d_1(beta), ..., d_r(beta)) over the finite nodes 1..r, where
+    d_i is the largest u with beta + u alpha_i a root."""
 
     coords: tuple[int, ...]
     labels: tuple[int, ...]
@@ -193,6 +193,8 @@ class RootSystem:
         self.positive_roots = tuple(Root(c, labels, tuple(map(sub, below, labels)))
                                     for c, (labels, below) in sorted(found.items()))
         self.roots = self.positive_roots + tuple(-b for b in self.positive_roots)
+        if len(self.positive_roots) != _POSITIVE_COUNTS[algebra.family](algebra.rank):
+            raise RuntimeError(f"{algebra}: wrong number of positive roots")
 
         top = max(self.positive_roots, key=lambda b: b.height)
         if sum(1 for b in self.positive_roots if b.height == top.height) != 1:
@@ -204,13 +206,16 @@ class RootSystem:
         self.comarks = tuple(int(c) for c in comarks)
         self.affine_comarks = (1,) + self.comarks
         self.dual_coxeter = 1 + sum(self.comarks)
+        # (theta, theta) = sum_i a_i^vee theta_i
+        if self.theta_pairing(top.labels) != 2:
+            raise RuntimeError(f"{algebra}: highest root does not have length 2")
 
     # --- pairing with theta ---------------------------------------------
 
     def theta_pairing(self, lam: tuple[int, ...]) -> int:
         """(lambda, theta) = sum of comark-weighted labels; always an integer."""
         if len(lam) != self.rank:
-            raise AlgebraMismatch(f"expected a weight of length {self.rank}")
+            raise AlgebraMismatch(f"{self.algebra} needs {self.rank} labels, got {len(lam)}")
         return sum(m * x for m, x in zip(self.comarks, lam))
 
     # --- roots ----------------------------------------------------------
@@ -223,7 +228,7 @@ class RootSystem:
         raise NotARoot(f"{coords} is not a root of {self.algebra}")
 
 
-# positive-root counts, used as a build-time sanity check
+# positive-root counts, checked by every `RootSystem` construction
 _POSITIVE_COUNTS = {
     "A": lambda r: r * (r + 1) // 2,
     "B": lambda r: r * r,
@@ -235,15 +240,7 @@ _POSITIVE_COUNTS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _build(algebra: AlgebraId) -> RootSystem:
-    rs = RootSystem(algebra)
-    if len(rs.positive_roots) != _POSITIVE_COUNTS[algebra.family](algebra.rank):
-        raise RuntimeError(f"{algebra}: wrong number of positive roots")
-    # (theta, theta) = sum_i a_i^vee theta_i
-    if rs.theta_pairing(rs.highest_root.labels) != 2:
-        raise RuntimeError(f"{algebra}: highest root does not have length 2")
-    return rs
+_build = lru_cache(maxsize=None)(RootSystem)
 
 
 def build(algebra: AlgebraId | str) -> RootSystem:

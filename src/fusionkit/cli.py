@@ -21,6 +21,7 @@ from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .tables import TABLES
 from .tadpole import (
+    _check_level,
     adjoint_tadpole_enum,
     adjoint_tadpole_formula,
     adjoint_tadpole_oracle,
@@ -55,16 +56,9 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _parse_weight_for(rs, text: str):
-    lam = parse_weight(text)
-    if len(lam) != rs.rank:
-        raise ValueError(f"{rs.algebra} needs {rs.rank} labels, got {len(lam)}")
-    return lam
-
-
 def _cmd_fuse(args: argparse.Namespace) -> int:
     rs = build(parse_algebra(args.algebra))
-    mu = _parse_weight_for(rs, args.weight)
+    mu = parse_weight(args.weight)
     if args.tensor and args.level is not None:
         raise ValueError("--tensor takes no --level")
     if not args.tensor and args.level is None:
@@ -91,6 +85,7 @@ def _cmd_tadpole(args: argparse.Namespace) -> int:
     # the counting routes read the root system, so formula alone builds none.
     methods = {"formula": (partial(adjoint_tadpole_formula, algebra), partial(zero_tadpole_formula, algebra))}
     if args.method != "formula":
+        _check_level("vacuum" if args.zero else "adjoint", algebra, args.level)
         rs = build(algebra)
         methods["enum"] = (partial(adjoint_tadpole_enum, rs), partial(zero_tadpole_enum, rs))
         methods["oracle"] = (partial(adjoint_tadpole_oracle, rs), partial(zero_tadpole_oracle, rs))

@@ -42,11 +42,13 @@ def _poly_eval(p, x):
     return total
 
 
-def _check_level(kind: str, algebra: AlgebraId, level: int, floor: int) -> None:
-    """The level floor of every tadpole route (2 adjoint, 0 vacuum); the formula
-    routes check it before looking up a closed form."""
-    if level < floor:
-        raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {floor}, got {level}")
+LEVEL_FLOORS = {"adjoint": 2, "vacuum": 0}
+
+
+def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
+    """The level guard of every tadpole route; the formula routes run it before any closed form."""
+    if level < LEVEL_FLOORS[kind]:
+        raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {LEVEL_FLOORS[kind]}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class PiecewisePolynomial:
 
     Branch t is a callable of J, where k = period * J + t, returning the exact
     value (an int or a Fraction) of a polynomial in J.  Both evaluations
-    enforce integrality and `evaluate` refuses negatives; the level floor is
-    `_check_level`'s (recurrence identities legitimately read values below it).
+    enforce integrality and `evaluate` refuses negatives; the level floors are
+    `LEVEL_FLOORS` (recurrence identities legitimately read values below them).
     """
 
     name: str
@@ -168,12 +170,12 @@ def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
 
 
 def adjoint_tadpole_formula(algebra: AlgebraId, level: int) -> int:
-    _check_level("adjoint", algebra, level, 2)
+    _check_level("adjoint", algebra, level)
     return adjoint_tadpole_polynomial(algebra).evaluate(level)
 
 
 def zero_tadpole_formula(algebra: AlgebraId, level: int) -> int:
-    _check_level("vacuum", algebra, level, 0)
+    _check_level("vacuum", algebra, level)
     return zero_tadpole_polynomial(algebra).evaluate(level)
 
 
@@ -196,7 +198,7 @@ def _vacuum_counts(rs: RootSystem, level: int) -> list[int]:
 
 def zero_tadpole_enum(rs: RootSystem, level: int) -> int:
     """Vacuum tadpole = number of dominant affine weights at the level."""
-    _check_level("vacuum", rs.algebra, level, 0)
+    _check_level("vacuum", rs.algebra, level)
     return _vacuum_counts(rs, level)[level]
 
 
@@ -206,20 +208,20 @@ def adjoint_tadpole_enum(rs: RootSystem, level: int) -> int:
     A weight at level k with label x_i >= 1 is, with x_i lowered by one, a
     weight at level k - a_i, so T_theta(k) = sum_i T_0(k - a_i) - T_0(k).
     """
-    _check_level("adjoint", rs.algebra, level, 2)
+    _check_level("adjoint", rs.algebra, level)
     counts = _vacuum_counts(rs, level)
     return sum(counts[level - m] for m in rs.affine_comarks if m <= level) - counts[level]
 
 
 def zero_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Vacuum tadpole Tr N_0 = |P_k|, by listing the weights at the level."""
-    _check_level("vacuum", rs.algebra, level, 0)
+    _check_level("vacuum", rs.algebra, level)
     return sum(1 for _ in enumerate_level(rs, level))
 
 
 def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
-    _check_level("adjoint", rs.algebra, level, 2)
+    _check_level("adjoint", rs.algebra, level)
     total = 0
     for mu in enumerate_level(rs, level):
         total += kac_walton_fusion(rs, mu).get(mu.finite, 0)

@@ -38,7 +38,7 @@ def check_tadpole_methods(algebra: AlgebraId, level: int) -> list[str]:
     rs = build(algebra)
     kinds = [(tadpole.zero_tadpole_polynomial, "vacuum", tadpole.zero_tadpole_enum,
               tadpole.zero_tadpole_formula)]
-    if level >= 2:
+    if level >= tadpole.LEVEL_FLOORS["adjoint"]:
         kinds.append((tadpole.adjoint_tadpole_polynomial, "adjoint", tadpole.adjoint_tadpole_enum,
                       tadpole.adjoint_tadpole_formula))
     bad = []

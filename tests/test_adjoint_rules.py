@@ -207,7 +207,9 @@ def test_reference_encodings_agree_with_rule_table(algebra):
 def _full_rows(rs):
     """The full off-diagonal rule, one row per root in `rs.roots` order: the
     Dynkin labels of beta and its whole minimal affine weight (t_0; t_1..t_r),
-    t_0 = max(0, (theta, beta)), t_i = max(0, -beta_i, d_i(beta))."""
+    t_0 = max(0, (theta, beta)), t_i = max(0, -beta_i, d_i(beta)).  `rule_table`
+    reads t_i = d_i(beta) alone; the dominance bound is kept here, so the
+    cross-check also compares the two encodings."""
     return tuple((beta.labels, (max(0, rs.theta_pairing(beta.labels)),)
                   + tuple(max(0, -label, depth) for label, depth in zip(beta.labels, beta.depth)))
                  for beta in rs.roots)

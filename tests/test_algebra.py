@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from operator import ge
 
 import pytest
 
@@ -12,7 +13,7 @@ from fusionkit import (
     build,
     parse_algebra,
 )
-from fusionkit.algebra import algebras_up_to
+from fusionkit.algebra import _POSITIVE_COUNTS, algebras_up_to
 
 from root_reference import (
     cartan_matrix,
@@ -255,6 +256,14 @@ def test_g2_longest_string():
     assert rs.root_at((1, 0)).depth == (0, 3)
 
 
+def test_depth_carries_the_dominance_bound():
+    # the alpha_i-string through beta runs p >= 0 steps below and d >= 0 above,
+    # p - d = beta_i, so d_i(beta) >= max(0, -beta_i): the rule rows lean on it
+    for algebra in algebras_up_to(8):
+        for beta in build(algebra).roots:
+            assert all(map(ge, beta.depth, (max(0, -label) for label in beta.labels))), (algebra, beta)
+
+
 def test_depth_weight_vanishes_only_at_theta():
     for name in ("A3", "B3", "C3", "D4", "G2", "F4"):
         rs = build(name)
@@ -277,8 +286,17 @@ def test_root_lookup_errors():
     with pytest.raises(NotARoot):
         rs.root_at((1, 1, 3))
     assert root_from_labels(rs, (9, 9, 9)) is None
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(AlgebraMismatch, match=r"^B3 needs 3 labels, got 2$"):
         rs.theta_pairing((1, 0))
+    with pytest.raises(AlgebraMismatch, match=r"^A2 needs 2 labels, got 1$"):
+        build("A2").theta_pairing((1,))
+
+
+def test_every_construction_checks_the_positive_root_count(monkeypatch):
+    # uncached, as the bond-list test builds: the count is checked all the same
+    monkeypatch.setitem(_POSITIVE_COUNTS, "G", lambda r: 7)
+    with pytest.raises(RuntimeError, match=r"^G2: wrong number of positive roots$"):
+        RootSystem(AlgebraId("G", 2))
 
 
 def test_root_label_roundtrip():

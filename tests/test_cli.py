@@ -167,16 +167,28 @@ def test_tadpole_json(capsys):
                       "kind": "adjoint", "method": "formula", "value": 45}
 
 
+def _refuse_build(algebra):
+    raise RuntimeError(f"build({algebra}) called")
+
+
 def test_tadpole_formula_builds_no_root_system(capsys, monkeypatch):
     # the closed form reads only the algebra name; building B50 alone takes most of a second
-    def refuse(algebra):
-        raise RuntimeError(f"build({algebra}) called")
-
-    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli, "build", _refuse_build)
     assert run(capsys, "tadpole", "B3", "--level", "5") == (0, "45\n", "")
     assert run(capsys, "tadpole", "B3", "--level", "5", "--zero") == (0, "34\n", "")
     with pytest.raises(RuntimeError, match="build"):
         run(capsys, "tadpole", "B3", "--level", "5", "--method", "enum")
+
+
+@pytest.mark.parametrize("method", ("formula", "enum", "oracle", "all"))
+@pytest.mark.parametrize("argv,message", [
+    (("--level", "1"), "adjoint tadpole[A2] needs level >= 2, got 1"),
+    (("--zero", "--level", "-1"), "vacuum tadpole[A2] needs level >= 0, got -1"),
+], ids=("adjoint", "vacuum"))
+def test_tadpole_below_the_floor_builds_no_root_system(capsys, monkeypatch, method, argv, message):
+    # every method refuses the level before it builds anything to count with
+    monkeypatch.setattr(cli, "build", _refuse_build)
+    assert run(capsys, "tadpole", "A2", *argv, "--method", method) == (3, "", f"error: {message}\n")
 
 
 def test_table_b_check(capsys):
@@ -313,6 +325,16 @@ def test_planted_table_error_fails_table_check_and_verify_alike(capsys, monkeypa
     assert (rc, err) == (4, line + "\n")
     rc, out, err = run(capsys, "verify", "--suite", "tables")
     assert (rc, out, err) == (4, "verify: 1 tasks, 1 mismatches\n", line + "\n")
+
+
+def test_planted_f4_string_marks_the_f4_summary_line(capsys, monkeypatch):
+    # the wrong string is reported on F4's line, in text and JSON alike
+    _plant_f4_string(monkeypatch)
+    _, out, _ = run(capsys, "table", "nontrivial", "--check")
+    lines = out.splitlines()
+    assert [line for line in lines if not line.endswith(" conditions match")] == ["F4: MISMATCH"]
+    _, out, _ = run(capsys, "table", "nontrivial", "--check", "--json")
+    assert json.loads(out)["check"] == lines
 
 
 def test_tadpole_all_detects_disagreement(capsys, monkeypatch):

@@ -47,17 +47,16 @@ def test_non_integral_polynomial_raises_under_optimize():
 
 
 def test_theta_guard_raises_under_optimize():
-    # B3 has theta = (0, 1, 0) and comarks (1, 2, 1); with every comark 1 the
-    # pairing gives (theta, theta) = 1, which the build must refuse
+    # B3 has theta = (0, 1, 0) = 1 a_1 + 2 a_2 + 2 a_3; a symmetrizer of
+    # (1, 1/2, 1/2) gives the integral comarks (1, 1, 1), so the pairing gives
+    # (theta, theta) = 1, which the construction must refuse
     code = (
+        "from fractions import Fraction\n"
         "from fusionkit import algebra\n"
-        "class Tampered(algebra.RootSystem):\n"
-        "    def __init__(self, a):\n"
-        "        super().__init__(a)\n"
-        "        self.comarks = (1,) * self.rank\n"
-        "algebra.RootSystem = Tampered\n"
+        "dynkin = algebra._dynkin\n"
+        "algebra._dynkin = lambda a: (dynkin(a)[0], (1, Fraction(1, 2), Fraction(1, 2)))\n"
         "try:\n"
-        "    algebra._build.__wrapped__(algebra.AlgebraId('B', 3))\n"
+        "    algebra.RootSystem(algebra.AlgebraId('B', 3))\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
