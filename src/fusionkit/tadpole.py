@@ -6,10 +6,10 @@ dominant affine weights at level k) and the adjoint tadpole (the sum of the
 diagonal coefficients of theta (x) mu over those weights).  Both are
 quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
-The classical forms are the paper's sums of falling factorials in J, each
-evaluated exactly as one fraction over a factorial; the E6 forms are literal
-rows of rational coefficients, evaluated by Horner's rule.  The published
-B-series table that both routes are checked against is in `tables`.
+The classical forms are the paper's sums of falling factorials in J, by
+`math.perm`, each one fraction over a factorial; the E6 forms are literal rows
+of rational coefficients, each run by integer Horner over its common
+denominator.  Every value takes one exact division; `tables` holds the B table.
 """
 
 from __future__ import annotations
@@ -17,32 +17,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, lcm, perm
 from typing import Callable
 
 from .algebra import AlgebraId, RootSystem
 from .errors import LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
-from .weights import enumerate_level
+from .weights import _FUSION_FLOOR, enumerate_level
 
 
 def falling_power(x, m: int):
-    """x (x-1) ... (x-m+1); empty product for m = 0."""
+    """x (x-1) ... (x-m+1), 1 for m = 0; for an int x `math.perm`, as (-1)^m (m-1-x)_m if x < 0."""
+    if isinstance(x, int) and m >= 0:
+        return perm(x, m) if x >= 0 else (-1) ** m * perm(m - 1 - x, m)
     out = 1
     for j in range(m):
         out = out * (x - j)
     return out
 
 
-def _poly_eval(p, x):
-    """Horner's rule on coefficients p in ascending powers of x."""
-    total = Fraction(0)
-    for a in reversed(p):
-        total = total * x + a
-    return total
-
-
-LEVEL_FLOORS = {"adjoint": 2, "vacuum": 0}
+LEVEL_FLOORS = {"adjoint": _FUSION_FLOOR, "vacuum": 0}
 
 
 def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
@@ -55,10 +49,10 @@ def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
 class PiecewisePolynomial:
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
-    Branch t is a callable of J, where k = period * J + t, returning the exact
-    value (an int or a Fraction) of a polynomial in J.  Both evaluations
-    enforce integrality and `evaluate` refuses negatives; the level floors are
-    `LEVEL_FLOORS` (recurrence identities legitimately read values below them).
+    Branch t is a callable of J, where k = period * J + t, returning the exact value of a
+    polynomial in J: a Fraction over a factorial for A-D, integer Horner over one denominator
+    per row for E6.  Both evaluations enforce integrality and `evaluate` refuses negatives;
+    the level floors are `LEVEL_FLOORS` (recurrence identities legitimately read values below them).
     """
 
     name: str
@@ -85,9 +79,19 @@ class PiecewisePolynomial:
         return value
 
 
+def _horner(coefficients, denominator, x):
+    """Horner's rule on integer coefficients, highest power first, over one denominator."""
+    total = 0
+    for a in coefficients:
+        total = total * x + a
+    return Fraction(total, denominator)
+
+
 def _rows(rows):
-    """One branch per literal coefficient row, evaluated by Horner's rule."""
-    return tuple(partial(_poly_eval, tuple(map(Fraction, row))) for row in rows)
+    """One branch per literal coefficient row, as integers over the row's lcm denominator."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    denominators = [lcm(*(c.denominator for c in row)) for row in rows]
+    return tuple(partial(_horner, tuple(int(c * d) for c in reversed(row)), d) for row, d in zip(rows, denominators))
 
 
 # E6 branch coefficients (k = 6J + t, rows t = 0..5, ascending powers of J),

@@ -83,17 +83,17 @@ def run_verify(
         raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
-    if "rules" in suites and max_level < 2:
-        raise LevelTooSmall(f"the rules suite needs max_level >= 2, got {max_level}")
-    if "tadpole" in suites and max_level < 0:
-        raise LevelTooSmall(f"the tadpole suite needs max_level >= 0, got {max_level}")
+    floors = {"rules": tadpole.LEVEL_FLOORS["adjoint"], "tadpole": tadpole.LEVEL_FLOORS["vacuum"]}
+    for suite, floor in floors.items():
+        if suite in suites and max_level < floor:
+            raise LevelTooSmall(f"the {suite} suite needs max_level >= {floor}, got {max_level}")
     algebras = algebras_up_to(max_rank)
     # the checks are read from the module here, so a rebound attribute is the one run
     tasks: list[tuple] = []
     if "rules" in suites:
-        tasks += [(check_rules_vs_oracle, a, k) for a in algebras for k in range(2, max_level + 1)]
+        tasks += [(check_rules_vs_oracle, a, k) for a in algebras for k in range(floors["rules"], max_level + 1)]
     if "tadpole" in suites:
-        tasks += [(check_tadpole_methods, a, k) for a in algebras for k in range(max_level + 1)]
+        tasks += [(check_tadpole_methods, a, k) for a in algebras for k in range(floors["tadpole"], max_level + 1)]
     if "tables" in suites:
         tasks.append((check_reference_tables,))
     results = [check(*args) for check, *args in tasks]

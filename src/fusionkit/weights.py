@@ -9,6 +9,7 @@ from .algebra import RootSystem, integer
 from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
 
 Weight = tuple[int, ...]
+_FUSION_FLOOR = 2  # the lowest level of adjoint fusion, and of the adjoint tadpole
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ def stable_level(rs: RootSystem, mu: Weight) -> int:
 
 def _check_affine(rs: RootSystem, mu: AffineWeight) -> None:
     """The input check of both adjoint fusion routes: level, length, dominance, level sum."""
-    if mu.level < 2:
-        raise LevelTooSmall(f"adjoint fusion needs level >= 2, got {mu.level}")
+    if mu.level < _FUSION_FLOOR:
+        raise LevelTooSmall(f"adjoint fusion needs level >= {_FUSION_FLOOR}, got {mu.level}")
     if len(mu.labels) != rs.rank + 1:
         raise AlgebraMismatch(f"affine weight {mu.labels} needs {rs.rank + 1} labels")
     if any(x < 0 for x in mu.labels):

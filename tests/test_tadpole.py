@@ -1,9 +1,13 @@
+import ast
 import gc
 from fractions import Fraction
+from functools import partial
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from fusionkit import tadpole
 from fusionkit import (
     AlgebraId,
     B_TADPOLE_TABLE,
@@ -36,6 +40,65 @@ def test_falling_power():
     assert falling_power(5, 0) == 1
     assert falling_power(2, 4) == 0
     assert falling_power(Fraction(1, 2), 2) == Fraction(-1, 4)
+
+
+def test_falling_power_int_path_matches_the_product():
+    # an int x goes through math.perm, a negative one by (x)_m = (-1)^m (m-1-x)_m
+    for x in range(-30, 81):
+        for m in range(16):
+            product = 1
+            for j in range(m):
+                product *= x - j
+            got = falling_power(x, m)
+            assert got == product and type(got) is int, (x, m)
+
+
+def _published_e6_rows():
+    """The E6 coefficient rows as `tadpole.py` writes them: the string argument
+    of each `_NAME = _rows(...)` assignment, read from the source."""
+    tree = ast.parse(Path(tadpole.__file__).read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value.args[0]) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "_rows"}
+
+
+def _fraction_horner(row, x):
+    """Horner's rule in Fraction on a row in ascending powers of x: the
+    evaluation the integer rows replaced, kept as their cross-check."""
+    total = Fraction(0)
+    for a in reversed(row):
+        total = total * x + Fraction(a)
+    return total
+
+
+def _row_mismatches(branches, rows):
+    return [(t, j) for t, (branch, row) in enumerate(zip(branches, rows))
+            for j in range(-20, 201) if branch(j) != _fraction_horner(row, j)]
+
+
+E6_TABLES = {"_E6_ADJOINT": tadpole._E6_ADJOINT, "_E6_ZERO": tadpole._E6_ZERO}
+
+
+def test_e6_integer_rows_match_fraction_horner():
+    rows = _published_e6_rows()
+    assert sorted(rows) == sorted(E6_TABLES)
+    for name, branches in E6_TABLES.items():
+        assert len(branches) == len(rows[name]) == 6
+        assert _row_mismatches(branches, rows[name]) == [], name
+
+
+@pytest.mark.parametrize("name", sorted(E6_TABLES))
+def test_planted_coefficient_fault_fails_the_row_comparison(name):
+    # each power in turn, in a different row each time, one integer coefficient off by 1
+    rows = _published_e6_rows()[name]
+    for power in range(7):
+        t = power % 6
+        branch = E6_TABLES[name][t]
+        coefficients, denominator = branch.args
+        planted = list(coefficients)
+        planted[-1 - power] += 1
+        assert _row_mismatches([branch], [rows[t]]) == []
+        assert _row_mismatches([partial(branch.func, tuple(planted), denominator)], [rows[t]]), (t, power)
 
 
 def test_a_series_vacuum_is_binomial():
@@ -150,13 +213,17 @@ def test_closed_forms_satisfy_shifted_sum_identity(algebra):
         assert adjoint.evaluate_raw(k) == shifted - zero.evaluate_raw(k), k
 
 
-def test_polytope_sums_leaves_no_garbage():
+def test_tadpole_sums_leave_no_garbage():
     rs = build("B3")
     gc.collect()
     gc.disable()
     try:
         zero_tadpole_enum(rs, 9)
         adjoint_tadpole_enum(rs, 9)
+        for algebra in (AlgebraId("E", 6), AlgebraId("B", 50)):
+            for k in range(2, 40):
+                adjoint_tadpole_formula(algebra, k)
+                zero_tadpole_formula(algebra, k)
         assert gc.collect() == 0
     finally:
         gc.enable()
