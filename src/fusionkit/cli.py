@@ -1,7 +1,8 @@
 """Command-line interface.
 
 `table` is one dispatch over `tables.TABLES`: `--check` runs the check that
-`verify --suite tables` runs, so both print the same mismatch lines.
+`verify --suite tables` runs, so both print the same mismatch lines.  Each
+`tadpole --method` is a route of `tadpole.TADPOLES`, run by `tadpole_by`.
 
 Exit codes: 0 success, 2 bad input (names, weights, dominance) and every other
 FusionError, 3 level out of range or mismatched, 4 verification found a
@@ -13,22 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .adjoint_rules import decompose
 from .algebra import build, integer, parse_algebra
 from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .tables import TABLES
-from .tadpole import (
-    _check_level,
-    adjoint_tadpole_enum,
-    adjoint_tadpole_formula,
-    adjoint_tadpole_oracle,
-    zero_tadpole_enum,
-    zero_tadpole_formula,
-    zero_tadpole_oracle,
-)
+from .tadpole import tadpole_by
 from .verify import ALL_SUITES, run_verify
 from .weights import affinize, format_weight, parse_weight, stable_level
 
@@ -80,23 +72,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_tadpole(args: argparse.Namespace) -> int:
     algebra = parse_algebra(args.algebra)
-    # method -> (adjoint, vacuum); built per call so that a rebound module
-    # attribute (a test double, a tracing wrapper) is the one called.  Only
-    # the counting routes read the root system, so formula alone builds none.
-    methods = {"formula": (partial(adjoint_tadpole_formula, algebra), partial(zero_tadpole_formula, algebra))}
-    if args.method != "formula":
-        _check_level("vacuum" if args.zero else "adjoint", algebra, args.level)
-        rs = build(algebra)
-        methods["enum"] = (partial(adjoint_tadpole_enum, rs), partial(zero_tadpole_enum, rs))
-        methods["oracle"] = (partial(adjoint_tadpole_oracle, rs), partial(zero_tadpole_oracle, rs))
+    kind = "vacuum" if args.zero else "adjoint"
     record = {"command": "tadpole", "algebra": str(algebra), "level": args.level,
               "kind": "zero" if args.zero else "adjoint"}
     if args.method == "all":
         try:
-            formula = methods["formula"][args.zero](args.level)
+            formula = tadpole_by(kind, "formula", algebra, args.level)
         except NoClosedForm:
             formula = None
-        enumeration = methods["enum"][args.zero](args.level)
+        enumeration = tadpole_by(kind, "enum", algebra, args.level)
         record.update(formula=formula, enumeration=enumeration)
         text = "unavailable (no closed form)" if formula is None else formula
         _emit(args, record, [f"formula: {text}", f"enumeration: {enumeration}"])
@@ -104,7 +88,7 @@ def _cmd_tadpole(args: argparse.Namespace) -> int:
             print(f"error: methods disagree for {algebra} at level {args.level}", file=sys.stderr)
             return EXIT_MISMATCH
         return EXIT_OK
-    value = methods[args.method][args.zero](args.level)
+    value = tadpole_by(kind, args.method, algebra, args.level)
     record.update(method=args.method, value=value)
     _emit(args, record, [str(value)])
     return EXIT_OK

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, sub
 
+from . import tadpole
 from .adjoint_rules import rule_table
 from .algebra import AlgebraId, RootSystem, algebras_up_to, build
-from .tadpole import adjoint_tadpole_enum, adjoint_tadpole_formula, adjoint_tadpole_polynomial
 
 # Published adjoint tadpoles for the first B ranks, levels 2..13; columns are
 # r = 3..6.  Used as a fixed cross-check of both the formulas and the
@@ -48,10 +48,10 @@ def check_b_table() -> tuple[list[str], str]:
     bad = []
     for (r, k), want in sorted(B_TADPOLE_TABLE.items()):
         algebra = AlgebraId("B", r)
-        got_formula = adjoint_tadpole_formula(algebra, k)
-        got_enum = adjoint_tadpole_enum(build(algebra), k)
+        got_formula = tadpole.tadpole_by("adjoint", "formula", algebra, k)
+        got_enum = tadpole.tadpole_by("adjoint", "enum", algebra, k)
         if got_formula != want or got_enum != want:
-            label = adjoint_tadpole_polynomial(algebra).branch_label(k)
+            label = getattr(tadpole, tadpole.TADPOLES["adjoint"]["polynomial"])(algebra).branch_label(k)
             bad.append(
                 f"B{r} level {k} ({label}): table {want}, formula {got_formula}, enumeration {got_enum}"
             )

@@ -10,6 +10,8 @@ The classical forms are the paper's sums of falling factorials in J, by
 `math.perm`, each one fraction over a factorial; the E6 forms are literal rows
 of rational coefficients, each run by integer Horner over its common
 denominator.  Every value takes one exact division; `tables` holds the B table.
+`TADPOLES` names each kind's level floor and routes once, and `tadpole_by` runs
+a route by its name; the CLI, `verify` and `tables` read both.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from functools import lru_cache, partial
 from math import factorial, lcm, perm
 from typing import Callable
 
-from .algebra import AlgebraId, RootSystem
+from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .weights import _FUSION_FLOOR, enumerate_level
 
 
 def falling_power(x, m: int):
-    """x (x-1) ... (x-m+1), 1 for m = 0; for an int x `math.perm`, as (-1)^m (m-1-x)_m if x < 0."""
-    if isinstance(x, int) and m >= 0:
+    """x (x-1) ... (x-m+1), 1 for m = 0, ValueError for m < 0; for an int x `math.perm`."""
+    if m < 0:
+        raise ValueError(f"falling_power needs m >= 0, got {m}")
+    if isinstance(x, int):
         return perm(x, m) if x >= 0 else (-1) ** m * perm(m - 1 - x, m)
     out = 1
     for j in range(m):
@@ -36,13 +40,26 @@ def falling_power(x, m: int):
     return out
 
 
-LEVEL_FLOORS = {"adjoint": _FUSION_FLOOR, "vacuum": 0}
+# kind -> its level floor and the names of its routes in this module.  A route is
+# looked up by name when it runs, so a rebound attribute (a tracer) is the one called.
+TADPOLES = {
+    "vacuum": {"floor": 0, "formula": "zero_tadpole_formula", "enum": "zero_tadpole_enum",
+               "oracle": "zero_tadpole_oracle", "polynomial": "zero_tadpole_polynomial"},
+    "adjoint": {"floor": _FUSION_FLOOR, "formula": "adjoint_tadpole_formula", "enum": "adjoint_tadpole_enum",
+                "oracle": "adjoint_tadpole_oracle", "polynomial": "adjoint_tadpole_polynomial"},
+}
+
+
+def tadpole_by(kind: str, method: str, algebra: AlgebraId, level: int) -> int:
+    """The `kind` tadpole by one route; the level is refused before a counting route builds its root system."""
+    _check_level(kind, algebra, level)
+    return globals()[TADPOLES[kind][method]](algebra if method == "formula" else build(algebra), level)
 
 
 def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
     """The level guard of every tadpole route; the formula routes run it before any closed form."""
-    if level < LEVEL_FLOORS[kind]:
-        raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {LEVEL_FLOORS[kind]}, got {level}")
+    if level < TADPOLES[kind]["floor"]:
+        raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {TADPOLES[kind]['floor']}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +69,7 @@ class PiecewisePolynomial:
     Branch t is a callable of J, where k = period * J + t, returning the exact value of a
     polynomial in J: a Fraction over a factorial for A-D, integer Horner over one denominator
     per row for E6.  Both evaluations enforce integrality and `evaluate` refuses negatives;
-    the level floors are `LEVEL_FLOORS` (recurrence identities legitimately read values below them).
+    the level floors are in `TADPOLES` (recurrence identities legitimately read values below them).
     """
 
     name: str

@@ -34,23 +34,20 @@ def check_rules_vs_oracle(algebra: AlgebraId, level: int) -> list[str]:
 
 
 def check_tadpole_methods(algebra: AlgebraId, level: int) -> list[str]:
-    """Tadpole formulas against enumeration at one level (skipped if no form)."""
+    """Each tadpole's formula against its enumeration at one level (skipped if no form)."""
     rs = build(algebra)
-    kinds = [(tadpole.zero_tadpole_polynomial, "vacuum", tadpole.zero_tadpole_enum,
-              tadpole.zero_tadpole_formula)]
-    if level >= tadpole.LEVEL_FLOORS["adjoint"]:
-        kinds.append((tadpole.adjoint_tadpole_polynomial, "adjoint", tadpole.adjoint_tadpole_enum,
-                      tadpole.adjoint_tadpole_formula))
     bad = []
-    for polynomial, noun, enum, formula in kinds:
+    for kind, routes in tadpole.TADPOLES.items():
+        if level < routes["floor"]:
+            continue
         try:
-            closed = formula(algebra, level)
+            closed = getattr(tadpole, routes["formula"])(algebra, level)
         except NoClosedForm:
             continue
-        counted = enum(rs, level)
+        counted = getattr(tadpole, routes["enum"])(rs, level)
         if closed != counted:
-            label = polynomial(algebra).branch_label(level)
-            bad.append(f"{algebra} level {level} {noun} tadpole ({label}): formula {closed}, enumeration {counted}")
+            label = getattr(tadpole, routes["polynomial"])(algebra).branch_label(level)
+            bad.append(f"{algebra} level {level} {kind} tadpole ({label}): formula {closed}, enumeration {counted}")
     return bad
 
 
@@ -83,7 +80,7 @@ def run_verify(
         raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
-    floors = {"rules": tadpole.LEVEL_FLOORS["adjoint"], "tadpole": tadpole.LEVEL_FLOORS["vacuum"]}
+    floors = {"rules": tadpole.TADPOLES["adjoint"]["floor"], "tadpole": tadpole.TADPOLES["vacuum"]["floor"]}
     for suite, floor in floors.items():
         if suite in suites and max_level < floor:
             raise LevelTooSmall(f"the {suite} suite needs max_level >= {floor}, got {max_level}")

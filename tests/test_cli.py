@@ -173,7 +173,7 @@ def _refuse_build(algebra):
 
 def test_tadpole_formula_builds_no_root_system(capsys, monkeypatch):
     # the closed form reads only the algebra name; building B50 alone takes most of a second
-    monkeypatch.setattr(cli, "build", _refuse_build)
+    monkeypatch.setattr(fusionkit.tadpole, "build", _refuse_build)
     assert run(capsys, "tadpole", "B3", "--level", "5") == (0, "45\n", "")
     assert run(capsys, "tadpole", "B3", "--level", "5", "--zero") == (0, "34\n", "")
     with pytest.raises(RuntimeError, match="build"):
@@ -187,7 +187,7 @@ def test_tadpole_formula_builds_no_root_system(capsys, monkeypatch):
 ], ids=("adjoint", "vacuum"))
 def test_tadpole_below_the_floor_builds_no_root_system(capsys, monkeypatch, method, argv, message):
     # every method refuses the level before it builds anything to count with
-    monkeypatch.setattr(cli, "build", _refuse_build)
+    monkeypatch.setattr(fusionkit.tadpole, "build", _refuse_build)
     assert run(capsys, "tadpole", "A2", *argv, "--method", method) == (3, "", f"error: {message}\n")
 
 
@@ -338,11 +338,19 @@ def test_planted_f4_string_marks_the_f4_summary_line(capsys, monkeypatch):
 
 
 def test_tadpole_all_detects_disagreement(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "adjoint_tadpole_formula", lambda algebra, level: 999)
+    monkeypatch.setattr(fusionkit.tadpole, "adjoint_tadpole_formula", lambda algebra, level: 999)
     rc, out, err = run(capsys, "tadpole", "A2", "--level", "3", "--method", "all")
     assert rc == 4
     assert "methods disagree" in err
     assert out.splitlines()[0] == "formula: 999"
+
+
+def test_tadpole_all_detects_vacuum_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(fusionkit.tadpole, "zero_tadpole_formula", lambda algebra, level: 999)
+    rc, out, err = run(capsys, "tadpole", "A2", "--level", "3", "--zero", "--method", "all")
+    assert rc == 4
+    assert "methods disagree" in err
+    assert out.splitlines() == ["formula: 999", "enumeration: 10"]
 
 
 EXIT_CODES = {

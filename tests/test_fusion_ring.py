@@ -9,7 +9,9 @@ folding oracle:
 * the grid has T_0(k) weights and the diagonal sums to T_theta(k);
 * a simple current J, a symmetry of the affine Dynkin diagram acting on the
   affine labels (l_0, ..., l_r), keeps the coefficients:
-  N_theta,J mu^J nu = N_theta,mu^nu.
+  N_theta,J mu^J nu = N_theta,mu^nu;
+* charge conjugation mu -> mu*, the symmetry of the finite Dynkin diagram
+  that maps mu to its dual, keeps them too: N_theta,mu*^nu* = N_theta,mu^nu.
 """
 
 import pytest
@@ -50,6 +52,20 @@ def _current(algebra):
     return None
 
 
+def _conjugation(algebra):
+    """Charge conjugation as a map of finite labels (0-based nodes), or None
+    where every weight is self-conjugate."""
+    f, r = algebra.family, algebra.rank
+    if f == "A" and r > 1:
+        return lambda m: m[::-1]
+    if f == "D" and r % 2:
+        return lambda m: m[:r - 2] + (m[r - 1], m[r - 2])
+    if str(algebra) == "E6":
+        # nodes 0 <-> 5 and 2 <-> 4; node 1 hangs off node 3
+        return lambda m: (m[5], m[1], m[4], m[3], m[2], m[0])
+    return None
+
+
 def _grid(algebra, level):
     """{affine labels of mu: {nu: N_theta,mu^nu}} over every mu at the level."""
     rs = build(algebra)
@@ -80,3 +96,13 @@ def test_simple_current_keeps_theta_fusion(algebra, level):
         assert len(image) == len(entries), labels
         for nu, n in entries.items():
             assert image.get(current(affine[nu])[1:], 0) == n, (labels, nu)
+
+
+@pytest.mark.parametrize("algebra, level", [(a, k) for a, k in GRIDS if _conjugation(a)], ids=str)
+def test_charge_conjugation_keeps_theta_fusion(algebra, level):
+    star = _conjugation(algebra)
+    by_finite = {labels[1:]: entries for labels, entries in _grid(algebra, level).items()}
+    # the identity map would pass vacuously
+    assert any(star(mu) != mu for mu in by_finite)
+    for mu, entries in by_finite.items():
+        assert by_finite[star(mu)] == {star(nu): n for nu, n in entries.items()}, mu

@@ -42,6 +42,13 @@ def test_falling_power():
     assert falling_power(Fraction(1, 2), 2) == Fraction(-1, 4)
 
 
+@pytest.mark.parametrize("x", (3, 0, -2, Fraction(1, 2)))
+def test_falling_power_refuses_a_negative_exponent(x):
+    # as math.perm does; extending (x)_m to m < 0 would give (3)_{-1} = 1/4, not 1
+    with pytest.raises(ValueError, match="m >= 0"):
+        falling_power(x, -1)
+
+
 def test_falling_power_int_path_matches_the_product():
     # an int x goes through math.perm, a negative one by (x)_m = (-1)^m (m-1-x)_m
     for x in range(-30, 81):
@@ -281,3 +288,54 @@ def test_high_rank_closed_forms_match_the_counting_array(name):
         if k >= 2:
             shifted = sum(counts[k - m] for m in rs.affine_comarks if m <= k)
             assert adjoint_tadpole_formula(rs.algebra, k) == shifted - counts[k], k
+
+
+# what the two compared routes of a kind may share: the level guard and what it reads
+_LEVEL_GUARD = {"_check_level", "TADPOLES", "_FUSION_FLOOR", "LevelTooSmall", "AlgebraId"}
+
+
+def _module_names():
+    """{top-level name of tadpole.py: the node that binds it}, an imported name bound to None."""
+    tree = ast.parse(Path(tadpole.__file__).read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names.update((target.id, node) for target in node.targets)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((alias.asname or alias.name, None) for alias in node.names)
+    return names
+
+
+def _reachable(name, names):
+    """The top-level names of tadpole.py that the definition of `name` reaches."""
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            if names[current] is not None:
+                todo += [n.id for n in ast.walk(names[current]) if isinstance(n, ast.Name) and n.id in names]
+    return seen
+
+
+@pytest.mark.parametrize("kind", sorted(tadpole.TADPOLES))
+def test_formula_and_enumeration_share_only_the_level_guard(kind):
+    # the two routes verify compares must not share a computation, or one
+    # fault would show in both and pass the comparison
+    names = _module_names()
+    routes = tadpole.TADPOLES[kind]
+    formula, enum = _reachable(routes["formula"], names), _reachable(routes["enum"], names)
+    assert {routes["polynomial"], "falling_power", "_check_level"} <= formula
+    assert {"_vacuum_counts", "_check_level"} <= enum
+    assert formula & enum <= _LEVEL_GUARD
+
+
+def test_every_route_name_is_a_function_of_the_module():
+    names = _module_names()
+    for kind, routes in tadpole.TADPOLES.items():
+        for method, name in routes.items():
+            if method != "floor":
+                assert isinstance(names.get(name), ast.FunctionDef), (kind, method, name)
+                assert callable(getattr(tadpole, name)), (kind, method, name)
