@@ -1,17 +1,24 @@
 """Independent cross-check for the closed-form rules.
 
-theta (x) mu at level k is recomputed by Kac-Walton folding: each weight of the
-adjoint weight system is added to mu + rho and reflected into the shifted
-alcove, bounded by the finite walls and the affine wall (x, theta) = k + h^v,
-with the reflection signs summed.  The r zero weights all shift to mu + rho, so
-that point is folded once and its sign counted r times.  The tensor product is
-the same sum at the stable level (theta, mu) + 2, where no shifted weight
-reaches the affine wall.  Nothing here shares logic with the rule modules
-beyond the root-system data and the input checks of `weights`.
+theta (x) mu at level k is recomputed by Kac-Walton folding: each adjoint
+weight beta (the roots, and zero r times) is added to mu + rho and reflected
+into the shifted alcove, bounded by the finite walls and the affine wall
+(x, theta) = k + h^v, with the reflection signs summed.  In affine labels the
+shifted point is x^ = mu^ + 1 + beta^, with beta^ = (-(theta, beta); beta).  It
+lies on a wall if some x^_i = 0: a reflection of the shifted affine Weyl group
+fixes it, so its fold ends on a wall and it is dropped.  It lies inside if
+every x^_i >= 1, and adds its multiplicity at mu + beta unfolded.  Otherwise it
+lies outside, and `affine_fold` folds it.  Every x^_i >= 1 where mu^_i >= c =
+max(0, -min beta^_i), 2 (3 for G2), so the class depends only on mu^ clipped
+at c: the adjoint weights are sorted once per root system and clipped mu^.
+The tensor product is the same sum at the stable level (theta, mu) + 2, where
+no shifted weight reaches the affine wall.  Nothing here shares logic with the
+rule modules beyond the root-system data and the input checks of `weights`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, mul
 
 from .algebra import RootSystem
@@ -47,21 +54,39 @@ def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     return kac_walton_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
+@lru_cache(maxsize=None)
+def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weight, int], ...], int]:
+    """Each adjoint weight once, as (beta^, beta, multiplicity), and the clip c."""
+    zero = ((0,) * (rs.rank + 1), (0,) * rs.rank, rs.rank)
+    weights = tuple(((-rs.theta_pairing(b.labels),) + b.labels, b.labels, 1) for b in rs.roots) + (zero,)
+    return weights, max(0, -min(min(hat) for hat, _, _ in weights))
+
+
+@lru_cache(maxsize=None)
+def _sorted_weights(rs: RootSystem, clipped: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The adjoint weights that shift inside the alcove, and those outside it."""
+    inside, outside = [], []
+    for weight in _adjoint_weights(rs)[0]:
+        x = [m + 1 + b for m, b in zip(clipped, weight[0])]
+        if 0 not in x:
+            (inside if min(x) > 0 else outside).append(weight)
+    return tuple(inside), tuple(outside)
+
+
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
     k = mu.level
+    clip = _adjoint_weights(rs)[1]
+    inside, outside = _sorted_weights(rs, tuple([m if m < clip else clip for m in mu.labels]))
+    # distinct weights, each added unfolded at mu + beta
+    acc = {tuple(map(add, mu.finite, beta)): times for _, beta, times in inside}
     shifted = [m + 1 for m in mu.finite]
-    # (point, how many adjoint weights shift to it): the roots, then the r zeros
-    points = [(list(map(add, shifted, beta.labels)), 1) for beta in rs.roots]
-    points.append((shifted, rs.rank))
-    acc: dict[Weight, int] = {}
-    for x, times in points:
-        sign, folded = affine_fold(rs, x, k)
-        if sign == 0:
-            continue
-        nu = tuple(f - 1 for f in folded)
-        acc[nu] = acc.get(nu, 0) + sign * times
+    for _, beta, times in outside:
+        sign, folded = affine_fold(rs, list(map(add, shifted, beta)), k)
+        if sign:
+            nu = tuple(f - 1 for f in folded)
+            acc[nu] = acc.get(nu, 0) + sign * times
     for nu, c in acc.items():
         if c < 0 or rs.theta_pairing(nu) > k:
             raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {k}")

@@ -20,6 +20,7 @@ from fusionkit import (
 )
 from fusionkit import oracle
 from fusionkit.algebra import algebras_up_to
+from fusionkit.verify import run_verify
 from fusionkit.weights import stable_level
 from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
 from oracle_reference import kac_walton_fusion as reference_fusion
@@ -197,6 +198,68 @@ def test_oracle_equals_reference_fold():
             mu = tuple(rng.randint(0, 3) for _ in range(rs.rank))
             want = reference_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
             assert racah_speiser_tensor(rs, mu) == want, (algebra, mu)
+
+
+def _sorting_grid():
+    # the identity grid, the stable-level tensor inputs, and labels far above the clip
+    for rs, level in _identity_grid():
+        yield from ((rs, mu) for mu in enumerate_level(rs, level))
+    for algebra in algebras_up_to(4):
+        rs = build(algebra)
+        rng = random.Random(f"tensor:{algebra}")
+        for _ in range(20):
+            mu = tuple(rng.randint(0, 3) for _ in range(rs.rank))
+            yield rs, affinize(rs, mu, stable_level(rs, mu))
+    yield from ((build("A1"), mu) for mu in enumerate_level(build("A1"), 30))
+
+
+def test_sorting_classes_fold_as_claimed():
+    # dropped weights fold to 0, inside ones stay put, outside ones have a
+    # negative affine label; the three classes cover all |roots| + r weights
+    checked, systems = 0, set()
+    for rs, mu in _sorting_grid():
+        weights, clip = oracle._adjoint_weights(rs)
+        inside, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
+        if rs not in systems:
+            assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
+            systems.add(rs)
+        inside_ids, outside_ids = {id(w) for w in inside}, {id(w) for w in outside}
+        assert len(inside_ids | outside_ids) == len(inside) + len(outside)
+        covered = 0
+        for weight in weights:
+            x = [m + 1 + b for m, b in zip(mu.finite, weight[1])]
+            hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x)] + x
+            sign, folded = oracle.affine_fold(rs, list(x), mu.level)
+            if id(weight) in inside_ids:
+                assert min(hat) >= 1 and (sign, folded) == (1, x), (rs.algebra, mu, weight)
+            elif id(weight) in outside_ids:
+                assert 0 not in hat and min(hat) < 0, (rs.algebra, mu, weight)
+            else:
+                assert 0 in hat and sign == 0, (rs.algebra, mu, weight)
+            covered += weight[2]
+        assert covered == len(rs.roots) + rs.rank
+        checked += 1
+    assert checked == 2505 + 20 * len(algebras_up_to(4)) + 31
+
+
+def test_sorting_cache_is_bounded_and_shares_the_records():
+    # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of them,
+    # each a pair of tuples of the root system's own records
+    oracle._sorted_weights.cache_clear()
+    assert run_verify(4, 7).ok
+    keys = {}
+    for algebra in algebras_up_to(4):
+        rs = build(algebra)
+        clip = oracle._adjoint_weights(rs)[1]
+        keys[rs] = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
+        assert len(keys[rs]) <= (clip + 1) ** (rs.rank + 1)
+    assert oracle._sorted_weights.cache_info().currsize == sum(map(len, keys.values()))
+    for rs, clipped in keys.items():
+        records = {id(w) for w in oracle._adjoint_weights(rs)[0]}
+        for key in clipped:
+            inside, outside = oracle._sorted_weights(rs, key)
+            assert {id(w) for w in inside + outside} <= records
+    assert oracle._sorted_weights.cache_info().currsize == sum(map(len, keys.values()))
 
 
 _RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "depth", "nontrivial_conditions",

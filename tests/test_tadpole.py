@@ -236,7 +236,10 @@ def test_tadpole_sums_leave_no_garbage():
         gc.enable()
 
 
-@pytest.mark.parametrize("name,levels", [("A1", (2, 3, 4, 5)), ("A2", (2, 3, 4)), ("G2", (2, 3, 4)), ("B3", (2, 3))])
+@pytest.mark.parametrize("name,levels", [
+    ("A1", (2, 3, 4, 5)), ("A2", (2, 3, 4)), ("G2", range(2, 17)), ("B3", (2, 3)),
+    ("E6", range(2, 7)), ("E7", range(2, 7)), ("E8", range(2, 9)), ("F4", range(2, 11)),
+])
 def test_oracle_route_agrees(name, levels):
     rs = build(name)
     for k in levels:
