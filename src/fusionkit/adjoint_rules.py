@@ -7,14 +7,14 @@ with multiplicities that never exceed the rank:
   one for the affine zeroth label in the fusion case;
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
-  weight of beta, one row per root in `rule_table`.  A row keeps only the
-  nonzero thresholds of that weight (1.4 to 2.1 of r + 1 per row), since a
-  zero threshold never fails.  The finite thresholds are the root-string
-  depths d_i(beta), never below the bound max(0, -beta_i) that dominance of
-  mu and nu already forces, so only the few (beta, i) with depth exceeding
-  that bound decide anything beyond dominance; those are the "nontrivial
-  conditions", tabulated per family with the paper's other worked tables in
-  `tables`, which read them off the same rows.
+  weight of beta: one row per root in `rule_table`, read off the roots of the
+  root system handed in and cached per instance, like the oracle's weights.
+  A row keeps only the nonzero thresholds (1.4 to 2.1 of r + 1), as a zero
+  threshold never fails.  The finite thresholds are the root-string depths
+  d_i(beta), never below the bound max(0, -beta_i) that dominance of mu and nu
+  already forces, so only the few (beta, i) with depth exceeding that bound
+  decide anything beyond dominance; those are the "nontrivial conditions" that
+  `tables` reads off the same rows, with the paper's other worked tables.
 
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .algebra import AlgebraId, RootSystem, build
+from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
@@ -42,10 +42,10 @@ class FusionDecomposition:
 
 
 @lru_cache(maxsize=None)
-def rule_table(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
-    """The off-diagonal rule: one row (beta, ((i, t_i), ...)) per root beta, in
-    the order of ``rs.roots``, holding the Dynkin labels of beta and the
-    nonzero labels t_i of its minimal affine weight (t_0; t_1, ..., t_r).
+def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
+    """The off-diagonal rule of this root system, cached per instance: one row
+    (beta, ((i, t_i), ...)) per root in ``rs.roots`` order, with the labels of
+    beta and the nonzero labels t_i of its minimal affine weight (t_0; ..., t_r).
 
     theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
     label by label, with t_0 = max(0, (theta, beta)) and t_i = d_i(beta), the
@@ -54,7 +54,6 @@ def rule_table(algebra: AlgebraId) -> tuple[tuple[Weight, tuple[tuple[int, int],
     t_i >= max(0, -beta_i): the row implies dominance of mu + beta, and
     t_0 >= (theta, beta) keeps its zeroth label >= 0.
     """
-    rs = build(algebra)
     rows = []
     for beta in rs.roots:
         floor = (max(0, rs.theta_pairing(beta.labels)),) + beta.depth
@@ -80,7 +79,7 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     if d:
         entries[mu.finite] = d
     labels, finite = mu.labels, mu.finite
-    for beta, floor in rule_table(rs.algebra):
+    for beta, floor in rule_table(rs):
         for i, t in floor:
             if labels[i] < t:
                 break

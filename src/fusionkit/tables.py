@@ -95,7 +95,7 @@ def g2_offdiag_row(
 ) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
     """Recompute one G2 table row from `rule_table` and `nontrivial_conditions`."""
     beta = rs.root_at(coords)
-    thresholds = dict(dict(rule_table(rs.algebra))[beta.labels])
+    thresholds = dict(dict(rule_table(rs))[beta.labels])
     floor = tuple(thresholds.get(i, 0) for i in range(rs.rank + 1))
     star = next((c.index for c in nontrivial_conditions(rs) if c.root == tuple(map(abs, coords))), None)
     delta = (-rs.theta_pairing(beta.labels),) + beta.labels
@@ -182,7 +182,7 @@ def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
     (d_i(-beta) = d_i(beta) + beta_i), so each condition is recorded once on
     the positive root, with the thresholds of rows beta and -beta.
     """
-    rows = dict(rule_table(rs.algebra))
+    rows = dict(rule_table(rs))
     out = []
     for beta in rs.positive_roots:
         minus = dict(rows[(-beta).labels])

@@ -14,7 +14,7 @@ from .algebra import AlgebraId, algebras_up_to, build
 from .errors import LevelTooSmall, NoClosedForm
 from .oracle import kac_walton_fusion
 from .tables import TABLES
-from .weights import enumerate_level
+from .weights import _FUSION_FLOOR, enumerate_level
 
 ALL_SUITES = ("rules", "tadpole", "tables")
 
@@ -80,7 +80,7 @@ def run_verify(
         raise ValueError(f"verify needs suites from {ALL_SUITES}, got {tuple(suites)}")
     if max_rank < 1:
         raise ValueError(f"verify needs max_rank >= 1, got {max_rank}")
-    floors = {"rules": tadpole.TADPOLES["adjoint"]["floor"], "tadpole": tadpole.TADPOLES["vacuum"]["floor"]}
+    floors = {"rules": _FUSION_FLOOR, "tadpole": tadpole.TADPOLES["vacuum"]["floor"]}
     for suite, floor in floors.items():
         if suite in suites and max_level < floor:
             raise LevelTooSmall(f"the {suite} suite needs max_level >= {floor}, got {max_level}")

@@ -24,8 +24,7 @@ class AffineWeight:
         return self.labels[1:]
 
     def __str__(self) -> str:
-        body = ",".join(str(x) for x in self.finite)
-        return f"({self.level}; {body})"
+        return f"({self.level}; {format_weight(self.finite)})"
 
 
 def affinize(rs: RootSystem, lam: Weight, level: int) -> AffineWeight:

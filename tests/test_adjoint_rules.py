@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from functools import lru_cache
 from operator import add, ge
 
@@ -13,6 +14,7 @@ from fusionkit import (
     G2_OFFDIAG_TABLE,
     LevelMismatch,
     LevelTooSmall,
+    RootSystem,
     affinize,
     build,
     decompose,
@@ -257,19 +259,20 @@ def test_full_row_cross_check_catches_a_dropped_condition(name, lost, monkeypatc
     # plant one lost threshold in `rule_table` (theta's zeroth label, or the
     # first nontrivial root-string condition): the cross-check must see it
     rs = build(name)
-    rows = list(rule_table(rs.algebra))
+    rows = list(rule_table(rs))
     n = next(n for n, (beta, floor) in enumerate(rows) if any(lost(rs, beta, *pair) for pair in floor))
     beta, floor = rows[n]
     rows[n] = (beta, tuple(pair for pair in floor if not lost(rs, beta, *pair)))
     assert len(rows[n][1]) == len(floor) - 1
-    monkeypatch.setattr(adjoint_rules, "rule_table", lambda algebra: tuple(rows))
+    monkeypatch.setattr(adjoint_rules, "rule_table", lambda rs: tuple(rows))
     assert _sparse_mismatches(rs.algebra, range(2, 7)) != []
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
 def test_sparse_rows_are_the_nonzero_thresholds(algebra):
-    table = _full_rows(build(algebra))
-    rows = rule_table(algebra)
+    rs = build(algebra)
+    table = _full_rows(rs)
+    rows = rule_table(rs)
     assert [beta for beta, _ in rows] == [beta for beta, _ in table]
     for (beta, floor), (_, want) in zip(rows, table):
         assert floor, beta
@@ -280,6 +283,26 @@ def test_sparse_rows_are_the_nonzero_thresholds(algebra):
         for i, t in floor:
             full[i] = t
         assert tuple(full) == want
+
+
+def _rules_on_grid(rs, level):
+    return [decompose(rs, mu).entries for mu in enumerate_level(rs, level)], nontrivial_conditions(rs)
+
+
+def test_rules_read_the_root_system_they_are_handed():
+    # plant a fault in one hand-built B3: raise every nonzero depth of its
+    # first root by one.  The rules must read it there and only there, and
+    # the oracle, which reads no depth, must then disagree with them
+    shared = build("B3")
+    before = _rules_on_grid(shared, 5)
+    rs = RootSystem(AlgebraId("B", 3))
+    n, beta = next((n, beta) for n, beta in enumerate(rs.roots) if any(beta.depth))
+    rs.roots = rs.roots[:n] + (replace(beta, depth=tuple(d + 1 if d else 0 for d in beta.depth)),) + rs.roots[n + 1:]
+    planted = _rules_on_grid(rs, 5)
+    assert planted[0] != before[0]
+    assert planted[1] != before[1]
+    assert _rules_on_grid(shared, 5) == before
+    assert any(decompose(rs, mu).entries != kac_walton_fusion(rs, mu) for mu in enumerate_level(rs, 5))
 
 
 def test_nontrivial_conditions_match_reference_everywhere():
