@@ -8,7 +8,7 @@ with multiplicities that never exceed the rank:
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
   weight of beta: one row per root in `rule_table`, read off the roots of the
-  root system handed in and cached per instance, like the oracle's weights.
+  root system handed in and stored in its `derived` slot, like the oracle's.
   A row keeps only the nonzero thresholds (1.4 to 2.1 of r + 1), as a zero
   threshold never fails.  The finite thresholds are the root-string depths
   d_i(beta), never below the bound max(0, -beta_i) that dominance of mu and nu
@@ -27,7 +27,6 @@ single coefficient is read as ``entries.get(nu, 0)``, as on the oracle's dict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add
 
 from .algebra import RootSystem
@@ -41,9 +40,8 @@ class FusionDecomposition:
     entries: dict[Weight, int]
 
 
-@lru_cache(maxsize=None)
 def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
-    """The off-diagonal rule of this root system, cached per instance: one row
+    """The off-diagonal rule of this root system, stored on it: one row
     (beta, ((i, t_i), ...)) per root in ``rs.roots`` order, with the labels of
     beta and the nonzero labels t_i of its minimal affine weight (t_0; ..., t_r).
 
@@ -54,11 +52,13 @@ def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...
     t_i >= max(0, -beta_i): the row implies dominance of mu + beta, and
     t_0 >= (theta, beta) keeps its zeroth label >= 0.
     """
-    rows = []
-    for beta in rs.roots:
-        floor = (max(0, rs.theta_pairing(beta.labels)),) + beta.depth
-        rows.append((beta.labels, tuple((i, t) for i, t in enumerate(floor) if t)))
-    return tuple(rows)
+    if "rule_table" not in rs.derived:
+        rows = []
+        for beta in rs.roots:
+            floor = (max(0, rs.theta_pairing(beta.labels)),) + beta.depth
+            rows.append((beta.labels, tuple((i, t) for i, t in enumerate(floor) if t)))
+        rs.derived["rule_table"] = tuple(rows)
+    return rs.derived["rule_table"]
 
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:

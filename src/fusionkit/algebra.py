@@ -181,11 +181,12 @@ class RootSystem:
     """Everything derived from the Cartan matrix of one simple algebra.
 
     Instances are built once per algebra via :func:`build` and shared; treat
-    them as immutable.
+    them as immutable, but for ``derived``: the tables read off the instance.
     """
 
     def __init__(self, algebra: AlgebraId) -> None:
         self.algebra = algebra
+        self.derived: dict = {}
         self.rank = algebra.rank
         self.cartan, self.symmetrizer = _dynkin(algebra)
 

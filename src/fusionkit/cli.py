@@ -49,12 +49,12 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    rs = build(parse_algebra(args.algebra))
-    mu = parse_weight(args.weight)
+    algebra, mu = parse_algebra(args.algebra), parse_weight(args.weight)
     if args.tensor and args.level is not None:
         raise ValueError("--tensor takes no --level")
     if not args.tensor and args.level is None:
         raise ValueError("--level is required unless --tensor is given")
+    rs = build(algebra)
     # the tensor product is fusion at the stable level
     aff = affinize(rs, mu, stable_level(rs, mu) if args.tensor else args.level)
     entries = kac_walton_fusion(rs, aff) if args.method == "oracle" else decompose(rs, aff).entries

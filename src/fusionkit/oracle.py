@@ -10,7 +10,7 @@ fixes it, so its fold ends on a wall and it is dropped.  It lies inside if
 every x^_i >= 1, and adds its multiplicity at mu + beta unfolded.  Otherwise it
 lies outside, and `affine_fold` folds it.  Every x^_i >= 1 where mu^_i >= c =
 max(0, -min beta^_i), 2 (3 for G2), so the class depends only on mu^ clipped
-at c: the adjoint weights are sorted once per root system and clipped mu^.
+at c: the root system stores the adjoint weights sorted once per clipped mu^.
 The tensor product is the same sum at the stable level (theta, mu) + 2, where
 no shifted weight reaches the affine wall.  Nothing here shares logic with the
 rule modules beyond the root-system data and the input checks of `weights`.
@@ -18,7 +18,6 @@ rule modules beyond the root-system data and the input checks of `weights`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add, mul
 
 from .algebra import RootSystem
@@ -54,31 +53,34 @@ def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     return kac_walton_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
-@lru_cache(maxsize=None)
-def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weight, int], ...], int]:
-    """Each adjoint weight once, as (beta^, beta, multiplicity), and the clip c."""
-    zero = ((0,) * (rs.rank + 1), (0,) * rs.rank, rs.rank)
-    weights = tuple(((-rs.theta_pairing(b.labels),) + b.labels, b.labels, 1) for b in rs.roots) + (zero,)
-    return weights, max(0, -min(min(hat) for hat, _, _ in weights))
+def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weight, int], ...], int, dict]:
+    """Each adjoint weight once as (beta^, beta, multiplicity), the clip c, and the classes by clipped mu^."""
+    if "adjoint_weights" not in rs.derived:
+        zero = ((0,) * (rs.rank + 1), (0,) * rs.rank, rs.rank)
+        weights = tuple(((-rs.theta_pairing(b.labels),) + b.labels, b.labels, 1) for b in rs.roots) + (zero,)
+        rs.derived["adjoint_weights"] = weights, max(0, -min(min(hat) for hat, _, _ in weights)), {}
+    return rs.derived["adjoint_weights"]
 
 
-@lru_cache(maxsize=None)
-def _sorted_weights(rs: RootSystem, clipped: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The adjoint weights that shift inside the alcove, and those outside it."""
-    inside, outside = [], []
-    for weight in _adjoint_weights(rs)[0]:
-        x = [m + 1 + b for m, b in zip(clipped, weight[0])]
-        if 0 not in x:
-            (inside if min(x) > 0 else outside).append(weight)
-    return tuple(inside), tuple(outside)
+def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The adjoint weights that shift mu^ inside the alcove, and those outside it, by mu^ clipped at c."""
+    weights, clip, classes = _adjoint_weights(rs)
+    clipped = tuple([m if m < clip else clip for m in labels])
+    if clipped not in classes:
+        inside, outside = [], []
+        for weight in weights:
+            x = [m + 1 + b for m, b in zip(clipped, weight[0])]
+            if 0 not in x:
+                (inside if min(x) > 0 else outside).append(weight)
+        classes[clipped] = tuple(inside), tuple(outside)
+    return classes[clipped]
 
 
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
     k = mu.level
-    clip = _adjoint_weights(rs)[1]
-    inside, outside = _sorted_weights(rs, tuple([m if m < clip else clip for m in mu.labels]))
+    inside, outside = _sorted_weights(rs, mu.labels)
     # distinct weights, each added unfolded at mu + beta
     acc = {tuple(map(add, mu.finite, beta)): times for _, beta, times in inside}
     shifted = [m + 1 for m in mu.finite]

@@ -191,6 +191,16 @@ def test_tadpole_below_the_floor_builds_no_root_system(capsys, monkeypatch, meth
     assert run(capsys, "tadpole", "A2", *argv, "--method", method) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("A120", "--weight", "1,1"), "--level is required unless --tensor is given"),
+    (("B60", "--weight", "1", "--tensor", "--level", "2"), "--tensor takes no --level"),
+])
+def test_fuse_usage_errors_build_no_root_system(capsys, monkeypatch, argv, message):
+    # the usage checks read argv alone; building A120 alone takes about a second
+    monkeypatch.setattr(cli, "build", _refuse_build)
+    assert run(capsys, "fuse", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_table_b_check(capsys):
     rc, out, _ = run(capsys, "table", "b-tadpoles", "--check")
     assert rc == 0

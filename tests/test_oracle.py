@@ -218,7 +218,7 @@ def test_sorting_classes_fold_as_claimed():
     # negative affine label; the three classes cover all |roots| + r weights
     checked, systems = 0, set()
     for rs, mu in _sorting_grid():
-        weights, clip = oracle._adjoint_weights(rs)
+        weights, clip, _ = oracle._adjoint_weights(rs)
         inside, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
         if rs not in systems:
             assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
@@ -244,22 +244,22 @@ def test_sorting_classes_fold_as_claimed():
 
 def test_sorting_cache_is_bounded_and_shares_the_records():
     # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of them,
-    # each a pair of tuples of the root system's own records
-    oracle._sorted_weights.cache_clear()
+    # each a pair of tuples of the root system's own records, stored on it
+    systems = [build(algebra) for algebra in algebras_up_to(4)]
+    for rs in systems:
+        rs.derived.clear()
     assert run_verify(4, 7).ok
-    keys = {}
-    for algebra in algebras_up_to(4):
-        rs = build(algebra)
-        clip = oracle._adjoint_weights(rs)[1]
-        keys[rs] = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
-        assert len(keys[rs]) <= (clip + 1) ** (rs.rank + 1)
-    assert oracle._sorted_weights.cache_info().currsize == sum(map(len, keys.values()))
-    for rs, clipped in keys.items():
-        records = {id(w) for w in oracle._adjoint_weights(rs)[0]}
-        for key in clipped:
-            inside, outside = oracle._sorted_weights(rs, key)
+    for rs in systems:
+        weights, clip, classes = oracle._adjoint_weights(rs)
+        keys = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
+        assert len(keys) <= (clip + 1) ** (rs.rank + 1)
+        assert set(classes) == keys, rs.algebra
+        records = {id(w) for w in weights}
+        for key in keys:
+            inside, outside = sorted_classes = oracle._sorted_weights(rs, key)
+            assert sorted_classes is classes[key]
             assert {id(w) for w in inside + outside} <= records
-    assert oracle._sorted_weights.cache_info().currsize == sum(map(len, keys.values()))
+        assert set(classes) == keys, rs.algebra
 
 
 _RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "depth", "nontrivial_conditions",
