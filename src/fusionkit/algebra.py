@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import AlgebraMismatch, InvalidRank, NotARoot
 
@@ -217,7 +217,7 @@ class RootSystem:
         """(lambda, theta) = sum of comark-weighted labels; always an integer."""
         if len(lam) != self.rank:
             raise AlgebraMismatch(f"{self.algebra} needs {self.rank} labels, got {len(lam)}")
-        return sum(m * x for m, x in zip(self.comarks, lam))
+        return sum(map(mul, self.comarks, lam))
 
     # --- roots ----------------------------------------------------------
 

@@ -2,18 +2,23 @@
 
 theta (x) mu at level k is recomputed by Kac-Walton folding: each adjoint
 weight beta (the roots, and zero r times) is added to mu + rho and reflected
-into the shifted alcove, bounded by the finite walls and the affine wall
-(x, theta) = k + h^v, with the reflection signs summed.  In affine labels the
-shifted point is x^ = mu^ + 1 + beta^, with beta^ = (-(theta, beta); beta).  It
-lies on a wall if some x^_i = 0: a reflection of the shifted affine Weyl group
-fixes it, so its fold ends on a wall and it is dropped.  It lies inside if
-every x^_i >= 1, and adds its multiplicity at mu + beta unfolded.  Otherwise it
-lies outside, and `affine_fold` folds it.  Every x^_i >= 1 where mu^_i >= c =
-max(0, -min beta^_i), 2 (3 for G2), so the class depends only on mu^ clipped
-at c: the root system stores the adjoint weights sorted once per clipped mu^.
-The tensor product is the same sum at the stable level (theta, mu) + 2, where
-no shifted weight reaches the affine wall.  Nothing here shares logic with the
-rule modules beyond the root-system data and the input checks of `weights`.
+into the shifted alcove, with the reflection signs summed.  The fold works in
+affine labels, on x^ = mu^ + 1 + beta^ with beta^ = (-(theta, beta); beta): each
+step reflects in the most negative label i, x^ - x^_i alpha^_i, where alpha^_0 =
+(2; -theta) and alpha^_i = (-(theta, alpha_i); row i of the Cartan matrix), so
+the affine wall is label 0 and no wall is special.  Every alpha^_i and beta^ has
+level 0 under the affine comarks (1; a^v), checked once per root system where
+the table is built, so a fold keeps sum a^v_i x^_i = k + h^v: a point with every
+label >= 1 is nu^ + 1 with nu dominant at level k.  A point lies on a wall if
+some x^_i = 0: a reflection fixes it, so its fold ends on a wall and it is
+dropped.  It lies inside if every x^_i >= 1, and adds its multiplicity at mu +
+beta unfolded.  Otherwise it lies outside, and `affine_fold` folds it.  Every
+x^_i >= 1 where mu^_i >= c = max(0, -min beta^_i), 2 (3 for G2), so the class
+depends only on mu^ clipped at c: the root system stores the adjoint weights
+sorted once per clipped mu^.  The tensor product is the same sum at the stable
+level (theta, mu) + 2, where no shifted weight reaches the affine wall.  Nothing
+here shares logic with the rule modules beyond the root-system data and the
+input checks of `weights`.
 """
 
 from __future__ import annotations
@@ -24,27 +29,16 @@ from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
-def affine_fold(rs: RootSystem, x: list[int], level: int) -> tuple[int, list[int] | None]:
-    """Fold x into the shifted affine alcove at the given level: (sign, folded) or (0, None)."""
-    cartan, comarks, theta = rs.cartan, rs.comarks, rs.highest_root.labels
-    wall = level + rs.dual_coxeter
+def affine_fold(rs: RootSystem, x: list[int]) -> tuple[int, list[int] | None]:
+    """Fold the affine labels x into the shifted alcove: (sign, folded) or (0, None)."""
+    walls = _adjoint_weights(rs)[3]
     sign = 1
-    for _ in range(10 * len(rs.positive_roots) * wall):
+    for _ in range(10 * len(rs.positive_roots) * sum(map(mul, rs.affine_comarks, x))):
         worst = min(x)
-        if worst < 0:
-            x = [a - worst * c for a, c in zip(x, cartan[x.index(worst)])]
-            sign = -sign
-            continue
-        if worst == 0:
-            return 0, None
-        over = sum(map(mul, comarks, x)) - wall
-        if over == 0:
-            return 0, None
-        if over > 0:
-            x = [a - over * t for a, t in zip(x, theta)]
-            sign = -sign
-            continue
-        return sign, x
+        if worst >= 0:
+            return (sign, x) if worst else (0, None)
+        x = [a - worst * c for a, c in zip(x, walls[x.index(worst)])]
+        sign = -sign
     raise RuntimeError(f"affine folding did not terminate for {x}")
 
 
@@ -53,18 +47,23 @@ def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     return kac_walton_fusion(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
-def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weight, int], ...], int, dict]:
-    """Each adjoint weight once as (beta^, beta, multiplicity), the clip c, and the classes by clipped mu^."""
+def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weight, int], ...], int, dict, tuple]:
+    """Each adjoint weight once as (beta^, beta, multiplicity), the clip c, the classes by clipped mu^,
+    and the affine simple roots alpha^_0, ..., alpha^_r in affine labels."""
     if "adjoint_weights" not in rs.derived:
         zero = ((0,) * (rs.rank + 1), (0,) * rs.rank, rs.rank)
         weights = tuple(((-rs.theta_pairing(b.labels),) + b.labels, b.labels, 1) for b in rs.roots) + (zero,)
-        rs.derived["adjoint_weights"] = weights, max(0, -min(min(hat) for hat, _, _ in weights)), {}
+        walls = ((2, *(-t for t in rs.highest_root.labels)),) + tuple((-rs.theta_pairing(row), *row) for row in rs.cartan)
+        # a fold keeps the level of x^ only if every step it adds has level 0
+        if any(sum(map(mul, rs.affine_comarks, hat)) for hat in walls + tuple(hat for hat, _, _ in weights)):
+            raise RuntimeError(f"{rs.algebra}: an affine simple root or adjoint weight has nonzero level")
+        rs.derived["adjoint_weights"] = weights, max(0, -min(min(hat) for hat, _, _ in weights)), {}, walls
     return rs.derived["adjoint_weights"]
 
 
 def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
     """The adjoint weights that shift mu^ inside the alcove, and those outside it, by mu^ clipped at c."""
-    weights, clip, classes = _adjoint_weights(rs)
+    weights, clip, classes, _ = _adjoint_weights(rs)
     clipped = tuple([m if m < clip else clip for m in labels])
     if clipped not in classes:
         inside, outside = [], []
@@ -79,17 +78,17 @@ def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tup
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
-    k = mu.level
     inside, outside = _sorted_weights(rs, mu.labels)
+    finite = mu.finite
     # distinct weights, each added unfolded at mu + beta
-    acc = {tuple(map(add, mu.finite, beta)): times for _, beta, times in inside}
-    shifted = [m + 1 for m in mu.finite]
-    for _, beta, times in outside:
-        sign, folded = affine_fold(rs, list(map(add, shifted, beta)), k)
+    acc = {tuple(map(add, finite, beta)): times for _, beta, times in inside}
+    shifted = [m + 1 for m in mu.labels]
+    for hat, _, times in outside:
+        sign, folded = affine_fold(rs, list(map(add, shifted, hat)))
         if sign:
-            nu = tuple(f - 1 for f in folded)
+            nu = tuple([f - 1 for f in folded[1:]])
             acc[nu] = acc.get(nu, 0) + sign * times
     for nu, c in acc.items():
-        if c < 0 or rs.theta_pairing(nu) > k:
-            raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {k}")
+        if c < 0:
+            raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {mu.level}")
     return {nu: c for nu, c in acc.items() if c != 0}

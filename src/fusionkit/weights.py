@@ -53,7 +53,7 @@ def _check_affine(rs: RootSystem, mu: AffineWeight) -> None:
         raise LevelTooSmall(f"adjoint fusion needs level >= {_FUSION_FLOOR}, got {mu.level}")
     if len(mu.labels) != rs.rank + 1:
         raise AlgebraMismatch(f"affine weight {mu.labels} needs {rs.rank + 1} labels")
-    if any(x < 0 for x in mu.labels):
+    if min(mu.labels) < 0:
         raise ValueError(f"affine weight {mu.labels} is not dominant")
     if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
         raise LevelMismatch(f"affine weight {mu.labels} does not lie at level {mu.level}")

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import fusionkit
+from oracle_reference import kac_walton_fusion as reference_fusion
 
 PACKAGE = Path(fusionkit.__file__).resolve().parent
 
@@ -64,3 +65,30 @@ def test_theta_guard_raises_under_optimize():
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "B3: highest root does not have length 2"
+
+
+_BROKEN_LEVEL = (
+    "from fusionkit import algebra, build, enumerate_level, kac_walton_fusion\n"
+    "rs = algebra.RootSystem(algebra.AlgebraId('B', 3))\n"
+    # alpha_1 for theta: alpha^_0 = (2; -alpha_1) then has level 2 - (theta, alpha_1) = 1
+    "rs.highest_root = rs.positive_roots[0]\n"
+    "try:\n"
+    "    kac_walton_fusion(rs, next(enumerate_level(rs, 2)))\n"
+    "except RuntimeError as exc:\n"
+    "    print(exc)\n"
+    "b3 = build('B3')\n"
+    "print([sorted(kac_walton_fusion(b3, mu).items()) for mu in enumerate_level(b3, 3)])\n"
+)
+
+
+def test_level_guard_raises_on_a_broken_root_system():
+    # the oracle folds in affine labels only if every affine simple root has
+    # level 0; a hand-built B3 with another root for theta must be refused,
+    # under python and python -O, and build("B3") must fold as before
+    b3 = fusionkit.build("B3")
+    want = [sorted(reference_fusion(b3, mu).items()) for mu in fusionkit.enumerate_level(b3, 3)]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _BROKEN_LEVEL], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["B3: an affine simple root or adjoint weight has nonzero level", str(want)]

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from fusionkit.algebra import algebras_up_to
 from fusionkit.verify import run_verify
 from fusionkit.weights import stable_level
 from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
+from oracle_reference import affine_fold as reference_fold
 from oracle_reference import kac_walton_fusion as reference_fusion
 
 
@@ -160,15 +162,16 @@ def test_rules_equal_oracle_spot(name, level):
 
 
 @pytest.mark.parametrize("x,want", [
-    ([5], (0, None)),   # on the affine wall: (x, theta) = k + h^v = 5
-    ([6], (-1, [4])),   # beyond it: reflected back across the affine wall
-    ([-1], (-1, [1])),  # beyond a finite wall: the simple reflection
-    ([0], (0, None)),   # on a finite wall
-    ([3], (1, [3])),    # inside the shifted alcove
+    ([0, 5], (0, None)),   # on the affine wall: (x, theta) = k + h^v = 5
+    ([-1, 6], (-1, [4])),  # beyond it: reflected back across the affine wall
+    ([6, -1], (-1, [1])),  # beyond a finite wall: the simple reflection
+    ([5, 0], (0, None)),   # on a finite wall
+    ([2, 3], (1, [3])),    # inside the shifted alcove
 ])
 def test_affine_fold_branches(x, want):
-    sign, folded = oracle.affine_fold(build("A1"), x, 3)
-    assert (sign, None if folded is None else list(folded)) == want
+    # affine labels of A1 at k = 3, so the labels sum to k + h^v = 5
+    sign, folded = oracle.affine_fold(build("A1"), x)
+    assert (sign, None if folded is None else list(folded[1:])) == want
 
 
 def _identity_grid():
@@ -218,7 +221,7 @@ def test_sorting_classes_fold_as_claimed():
     # negative affine label; the three classes cover all |roots| + r weights
     checked, systems = 0, set()
     for rs, mu in _sorting_grid():
-        weights, clip, _ = oracle._adjoint_weights(rs)
+        weights, clip, _, _ = oracle._adjoint_weights(rs)
         inside, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
         if rs not in systems:
             assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
@@ -229,9 +232,9 @@ def test_sorting_classes_fold_as_claimed():
         for weight in weights:
             x = [m + 1 + b for m, b in zip(mu.finite, weight[1])]
             hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x)] + x
-            sign, folded = oracle.affine_fold(rs, list(x), mu.level)
+            sign, folded = oracle.affine_fold(rs, list(hat))
             if id(weight) in inside_ids:
-                assert min(hat) >= 1 and (sign, folded) == (1, x), (rs.algebra, mu, weight)
+                assert min(hat) >= 1 and (sign, folded) == (1, hat), (rs.algebra, mu, weight)
             elif id(weight) in outside_ids:
                 assert 0 not in hat and min(hat) < 0, (rs.algebra, mu, weight)
             else:
@@ -242,6 +245,26 @@ def test_sorting_classes_fold_as_claimed():
     assert checked == 2505 + 20 * len(algebras_up_to(4)) + 31
 
 
+def test_affine_fold_matches_the_reference_point_by_point():
+    # every outside point folds in affine labels to the sign and finite point of
+    # the finite-coordinate fold, and keeps the level sum k + h^v
+    e8 = build("E8")
+    checked = kept = 0
+    for rs, mu in [*_sorting_grid(), *((e8, mu) for mu in enumerate_level(e8, 4))]:
+        _, clip, _, _ = oracle._adjoint_weights(rs)
+        _, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
+        for hat, beta, _ in outside:
+            x_hat = [m + 1 + b for m, b in zip(mu.labels, hat)]
+            sign, folded = oracle.affine_fold(rs, x_hat)
+            want = reference_fold(rs, tuple(m + 1 + b for m, b in zip(mu.finite, beta)), mu.level)
+            assert (sign, folded and tuple(folded[1:])) == want, (rs.algebra, mu, beta)
+            if sign:
+                assert sum(map(mul, rs.affine_comarks, folded)) == mu.level + rs.dual_coxeter
+                kept += 1
+            checked += 1
+    assert (checked, kept) == (8329, 7414)
+
+
 def test_sorting_cache_is_bounded_and_shares_the_records():
     # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of them,
     # each a pair of tuples of the root system's own records, stored on it
@@ -250,7 +273,7 @@ def test_sorting_cache_is_bounded_and_shares_the_records():
         rs.derived.clear()
     assert run_verify(4, 7).ok
     for rs in systems:
-        weights, clip, classes = oracle._adjoint_weights(rs)
+        weights, clip, classes, _ = oracle._adjoint_weights(rs)
         keys = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
         assert len(keys) <= (clip + 1) ** (rs.rank + 1)
         assert set(classes) == keys, rs.algebra
