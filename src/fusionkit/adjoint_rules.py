@@ -26,18 +26,17 @@ single coefficient is read as ``entries.get(nu, 0)``, as on the oracle's dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
-@dataclass
-class FusionDecomposition:
-    """Multiset of dominant weights with multiplicities."""
+class FusionDecomposition(namedtuple("FusionDecomposition", "entries")):
+    """Multiset of dominant weights: `entries` maps each weight to its multiplicity."""
 
-    entries: dict[Weight, int]
+    __slots__ = ()
 
 
 def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -45,20 +45,25 @@ def algebras_up_to(max_rank: int) -> list[AlgebraId]:
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraId:
+class AlgebraId(namedtuple("AlgebraId", "family rank")):
     """A simple Lie algebra named by family letter and rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in RANK_BOUNDS:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __new__(cls, family: str, rank: int) -> AlgebraId:
+        return cls._make((family, rank))
+
+    @classmethod
+    def _make(cls, fields) -> AlgebraId:
+        """The one constructor, so `_replace` validates too."""
+        family, rank = fields
+        if family not in RANK_BOUNDS:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-            raise InvalidRank(f"{self.family}{self.rank}: rank must be {bound}")
+            raise InvalidRank(f"{family}{rank}: rank must be {bound}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -156,21 +161,18 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...]
     return found
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "coords labels depth")):
     """A root: simple-root coordinates, the derived Dynkin labels, and the
     depth vector (d_1(beta), ..., d_r(beta)) over the finite nodes 1..r, where
     d_i is the largest u with beta + u alpha_i a root."""
 
-    coords: tuple[int, ...]
-    labels: tuple[int, ...]
-    depth: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def height(self) -> int:
         return sum(self.coords)
 
-    def __neg__(self) -> "Root":
+    def __neg__(self) -> Root:
         # the alpha_i-string through -beta is the one through beta, reversed:
         # its depth is the height of beta on it, d_i(beta) + beta_i
         return Root(tuple(-c for c in self.coords), tuple(-l for l in self.labels),

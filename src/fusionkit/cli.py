@@ -3,6 +3,7 @@
 `table` is one dispatch over `tables.TABLES`: `--check` runs the check that
 `verify --suite tables` runs, so both print the same mismatch lines.  Each
 `tadpole --method` is a route of `tadpole.TADPOLES`, run by `tadpole_by`.
+Each command imports the modules it runs, so a one-shot call loads no other.
 
 Exit codes: 0 success, 2 bad input (names, weights, dominance) and every other
 FusionError, 3 level out of range or mismatched, 4 verification found a
@@ -12,17 +13,10 @@ mismatch, 5 no closed form.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .adjoint_rules import decompose
 from .algebra import build, integer, parse_algebra
-from .errors import FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
-from .oracle import kac_walton_fusion
-from .tables import TABLES
-from .tadpole import tadpole_by
-from .verify import ALL_SUITES, run_verify
-from .weights import affinize, format_weight, parse_weight, stable_level
+from .errors import AlgebraMismatch, FusionError, LevelMismatch, LevelTooSmall, NoClosedForm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,6 +36,7 @@ EXIT_CODES = (
 def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
     """The JSON record with --json, else the text lines."""
     if args.json:
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         for line in lines:
@@ -49,15 +44,23 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
+    from .weights import affinize, format_weight, parse_weight, stable_level
     algebra, mu = parse_algebra(args.algebra), parse_weight(args.weight)
     if args.tensor and args.level is not None:
         raise ValueError("--tensor takes no --level")
     if not args.tensor and args.level is None:
         raise ValueError("--level is required unless --tensor is given")
+    if len(mu) != algebra.rank:
+        raise AlgebraMismatch(f"{algebra} needs {algebra.rank} labels, got {len(mu)}")
     rs = build(algebra)
     # the tensor product is fusion at the stable level
     aff = affinize(rs, mu, stable_level(rs, mu) if args.tensor else args.level)
-    entries = kac_walton_fusion(rs, aff) if args.method == "oracle" else decompose(rs, aff).entries
+    if args.method == "oracle":
+        from .oracle import kac_walton_fusion
+        entries = kac_walton_fusion(rs, aff)
+    else:
+        from .adjoint_rules import decompose
+        entries = decompose(rs, aff).entries
     lines = {format_weight(nu): mult for nu, mult in sorted(entries.items())}
     _emit(args, {
         "command": "fuse",
@@ -71,6 +74,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_tadpole(args: argparse.Namespace) -> int:
+    from .tadpole import tadpole_by
     algebra = parse_algebra(args.algebra)
     kind = "vacuum" if args.zero else "adjoint"
     record = {"command": "tadpole", "algebra": str(algebra), "level": args.level,
@@ -95,6 +99,7 @@ def _cmd_tadpole(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .tables import TABLES
     if args.algebra is not None and (args.check or args.name != "nontrivial"):
         raise ValueError("--algebra applies only to table nontrivial without --check")
     if args.name == "nontrivial" and not (args.check or args.algebra):
@@ -115,6 +120,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import ALL_SUITES, run_verify
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
     report = run_verify(args.max_rank, args.max_level, suites)
     if not args.json:
@@ -156,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tad.set_defaults(func=_cmd_tadpole)
 
     table = sub.add_parser("table", help="reference tables, optionally rechecked")
-    table.add_argument("name", choices=tuple(TABLES))
+    # literal, so the parser loads no command's module; a test pins it to tables.TABLES
+    table.add_argument("name", choices=("b-tadpoles", "g2-offdiag", "nontrivial"))
     table.add_argument("--check", action="store_true", help="recompute and compare")
     table.add_argument("--algebra", help="for: nontrivial")
     table.add_argument("--json", action="store_true")
@@ -165,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run consistency sweeps")
     ver.add_argument("--max-rank", type=integer, default=4)
     ver.add_argument("--max-level", type=integer, default=6)
-    ver.add_argument("--suite", choices=("all",) + ALL_SUITES, default="all")
+    # literal too, pinned to ("all",) + verify.ALL_SUITES
+    ver.add_argument("--suite", choices=("all", "rules", "tadpole", "tables"), default="all")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=_cmd_verify)
 

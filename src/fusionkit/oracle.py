@@ -30,10 +30,15 @@ from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 
 def affine_fold(rs: RootSystem, x: list[int]) -> tuple[int, list[int] | None]:
-    """Fold the affine labels x into the shifted alcove: (sign, folded) or (0, None)."""
+    """Fold the affine labels x = (x_0; finite labels), at a level sum > 0, into
+    the shifted alcove: (sign, folded) or (0, None)."""
     walls = _adjoint_weights(rs)[3]
+    level = sum(map(mul, rs.affine_comarks, x))
+    if level <= 0 or len(x) != len(walls):
+        rs.theta_pairing(x[1:])  # raises AlgebraMismatch on a wrong length
+        raise ValueError(f"affine labels {x} have level sum {level}, not > 0")
     sign = 1
-    for _ in range(10 * len(rs.positive_roots) * sum(map(mul, rs.affine_comarks, x))):
+    for _ in range(10 * len(rs.positive_roots) * level):
         worst = min(x)
         if worst >= 0:
             return (sign, x) if worst else (0, None)

@@ -13,7 +13,7 @@ come from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 from . import tadpole
@@ -158,8 +158,7 @@ def check_f4_table() -> list[str]:
     return bad
 
 
-@dataclass(frozen=True)
-class NontrivialCondition:
+class NontrivialCondition(namedtuple("NontrivialCondition", "root index threshold_plus threshold_minus")):
     """A root-string condition not implied by dominance.
 
     For nu = mu + beta the coefficient needs mu[index] >= threshold_plus, and
@@ -167,10 +166,7 @@ class NontrivialCondition:
     the simple-root coordinates of the positive root beta.
     """
 
-    root: tuple[int, ...]
-    index: int
-    threshold_plus: int
-    threshold_minus: int
+    __slots__ = ()
 
 
 def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:

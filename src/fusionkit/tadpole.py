@@ -16,15 +16,13 @@ a route by its name; the CLI, `verify` and `tables` read both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm, perm
-from typing import Callable
 
 from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
-from .oracle import kac_walton_fusion
 from .weights import _FUSION_FLOOR, enumerate_level
 
 
@@ -62,8 +60,7 @@ def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
         raise LevelTooSmall(f"{kind} tadpole[{algebra}] needs level >= {TADPOLES[kind]['floor']}, got {level}")
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(namedtuple("PiecewisePolynomial", "name period branches")):
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
     Branch t is a callable of J, where k = period * J + t, returning the exact value of a
@@ -72,9 +69,7 @@ class PiecewisePolynomial:
     the level floors are in `TADPOLES` (recurrence identities legitimately read values below them).
     """
 
-    name: str
-    period: int
-    branches: tuple[Callable[[int], Fraction], ...]
+    __slots__ = ()
 
     def branch_label(self, level: int) -> str:
         if self.period == 1:
@@ -242,6 +237,7 @@ def zero_tadpole_oracle(rs: RootSystem, level: int) -> int:
 
 def adjoint_tadpole_oracle(rs: RootSystem, level: int) -> int:
     """Adjoint tadpole with every diagonal coefficient from the folding oracle."""
+    from .oracle import kac_walton_fusion  # here, so the other routes load no oracle
     _check_level("adjoint", rs.algebra, level)
     total = 0
     for mu in enumerate_level(rs, level):

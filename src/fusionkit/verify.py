@@ -6,7 +6,7 @@ command and the test suite.  A task is a check and its arguments, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import tadpole
 from .adjoint_rules import decompose
@@ -56,10 +56,10 @@ def check_reference_tables() -> list[str]:
     return [line for check, _ in TABLES.values() for line in check()[0]]
 
 
-@dataclass
-class VerifyReport:
-    tasks: int
-    messages: list[str] = field(default_factory=list)
+class VerifyReport(namedtuple("VerifyReport", "tasks messages")):
+    """The number of tasks run and their mismatch messages, in task order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

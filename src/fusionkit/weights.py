@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .algebra import RootSystem, integer
 from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
@@ -12,12 +12,10 @@ Weight = tuple[int, ...]
 _FUSION_FLOOR = 2  # the lowest level of adjoint fusion, and of the adjoint tadpole
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(namedtuple("AffineWeight", "level labels")):
     """Affine weight at a fixed level; labels[0] is the zeroth label."""
 
-    level: int
-    labels: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def finite(self) -> Weight:

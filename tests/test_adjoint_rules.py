@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from functools import lru_cache
 from operator import add, ge
 
@@ -297,7 +296,7 @@ def test_rules_read_the_root_system_they_are_handed():
     before = _rules_on_grid(shared, 5)
     rs = RootSystem(AlgebraId("B", 3))
     n, beta = next((n, beta) for n, beta in enumerate(rs.roots) if any(beta.depth))
-    rs.roots = rs.roots[:n] + (replace(beta, depth=tuple(d + 1 if d else 0 for d in beta.depth)),) + rs.roots[n + 1:]
+    rs.roots = rs.roots[:n] + (beta._replace(depth=tuple(d + 1 if d else 0 for d in beta.depth)),) + rs.roots[n + 1:]
     planted = _rules_on_grid(rs, 5)
     assert planted[0] != before[0]
     assert planted[1] != before[1]

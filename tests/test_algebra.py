@@ -308,3 +308,16 @@ def test_root_label_roundtrip():
 
 def test_build_is_cached_and_accepts_both_spellings():
     assert build("D4") is build(AlgebraId("D", 4))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: AlgebraId("A", 2)._replace(rank=0), "A0: rank must be >= 1"),
+    (lambda: AlgebraId("A", 2)._replace(family="H"), "unknown family 'H'"),
+    (lambda: AlgebraId._make(("E", 9)), "E9: rank must be 6..8"),
+], ids=("replace-rank", "replace-family", "make"))
+def test_algebra_ids_are_checked_however_they_are_made(make, message):
+    # a named tuple's _replace and _make skip __new__, so _make is the checking constructor
+    with pytest.raises(InvalidRank) as info:
+        make()
+    assert str(info.value) == message
+    assert AlgebraId("A", 2)._replace(rank=3) == AlgebraId("A", 3) == ("A", 3)

@@ -194,6 +194,8 @@ def test_tadpole_below_the_floor_builds_no_root_system(capsys, monkeypatch, meth
 @pytest.mark.parametrize("argv,message", [
     (("A120", "--weight", "1,1"), "--level is required unless --tensor is given"),
     (("B60", "--weight", "1", "--tensor", "--level", "2"), "--tensor takes no --level"),
+    (("A300", "--weight", "1", "--tensor"), "A300 needs 300 labels, got 1"),
+    (("B60", "--weight", "1", "--level", "2"), "B60 needs 60 labels, got 1"),
 ])
 def test_fuse_usage_errors_build_no_root_system(capsys, monkeypatch, argv, message):
     # the usage checks read argv alone; building A120 alone takes about a second

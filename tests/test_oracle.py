@@ -174,6 +174,18 @@ def test_affine_fold_branches(x, want):
     assert (sign, None if folded is None else list(folded[1:])) == want
 
 
+@pytest.mark.parametrize("x,error,message", [
+    ([1, 2], AlgebraMismatch, "B3 needs 3 labels, got 1"),
+    ([1, 2, 3, 4, 5], AlgebraMismatch, "B3 needs 3 labels, got 4"),
+    ([-1, 0, 0, 0], ValueError, "affine labels [-1, 0, 0, 0] have level sum -1, not > 0"),
+])
+def test_affine_fold_refuses_a_wrong_length_or_level(x, error, message):
+    # B3 folds r + 1 = 4 affine labels, at a level sum k + h^v > 0
+    with pytest.raises(error) as info:
+        oracle.affine_fold(build("B3"), x)
+    assert str(info.value) == message
+
+
 def _identity_grid():
     for algebra in algebras_up_to(4):
         for level in range(2, 7):
