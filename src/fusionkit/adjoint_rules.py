@@ -10,7 +10,9 @@ with multiplicities that never exceed the rank:
   weight of beta: one row per root in `rule_table`, read off the roots of the
   root system handed in and stored in its `derived` slot, like the oracle's.
   A row keeps only the nonzero thresholds (1.4 to 2.1 of r + 1), as a zero
-  threshold never fails.  The finite thresholds are the root-string depths
+  threshold never fails.  `decompose` ANDs per label, clipped at c (the largest
+  threshold), the bitset of the rows it passes; the set bits are the passing
+  rows, in root order.  The finite thresholds are the root-string depths
   d_i(beta), never below the bound max(0, -beta_i) that dominance of mu and nu
   already forces, so only the few (beta, i) with depth exceeding that bound
   decide anything beyond dominance; those are the "nontrivial conditions" that
@@ -71,17 +73,34 @@ def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
     return decompose(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
+def _rule_bits(rs: RootSystem) -> tuple:
+    """(rows, c, passes): bit n of passes[i][x], x = 0..c, is set when row n's threshold at label i is <= x.
+    Kept in the derived slot next to the rows, and rebuilt whenever `rule_table` hands back other rows."""
+    rows = rule_table(rs)
+    if rs.derived.get("rule_bits", (None,))[0] is not rows:
+        clip = max((t for _, floor in rows for _, t in floor), default=0)
+        passes = [[(1 << len(rows)) - 1] * (clip + 1) for _ in range(rs.rank + 1)]
+        for n, (_, floor) in enumerate(rows):
+            for i, t in floor:
+                for x in range(t):
+                    passes[i][x] &= ~(1 << n)
+        rs.derived["rule_bits"] = rows, clip, passes
+    return rs.derived["rule_bits"]
+
+
 def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu in the level-k fusion ring."""
     entries: dict[Weight, int] = {}
     d = diag_fusion(rs, mu)
+    finite = mu.finite
     if d:
-        entries[mu.finite] = d
-    labels, finite = mu.labels, mu.finite
-    for beta, floor in rule_table(rs):
-        for i, t in floor:
-            if labels[i] < t:
-                break
-        else:
-            entries[tuple(map(add, finite, beta))] = 1
+        entries[finite] = d
+    rows, clip, passes = _rule_bits(rs)
+    bits = -1
+    for x, label in zip(mu.labels, passes):
+        bits &= label[x if x < clip else clip]
+    while bits:  # the set bits from low to high: the passing rows in `rs.roots` order
+        low = bits & -bits
+        entries[tuple(map(add, finite, rows[low.bit_length() - 1][0]))] = 1
+        bits ^= low
     return FusionDecomposition(entries)

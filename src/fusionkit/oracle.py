@@ -28,6 +28,8 @@ from operator import add, mul
 from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
+_CLASS_CAP = 3 ** 9  # E8's whole box {0..2}^9: no algebra of rank <= 8 fills it; A20's holds 3^21
+
 
 def affine_fold(rs: RootSystem, x: list[int]) -> tuple[int, list[int] | None]:
     """Fold the affine labels x = (x_0; finite labels), at a level sum > 0, into
@@ -67,17 +69,21 @@ def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weigh
 
 
 def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The adjoint weights that shift mu^ inside the alcove, and those outside it, by mu^ clipped at c."""
+    """The adjoint weights that shift mu^ inside the alcove, and those outside it, by mu^ clipped at c,
+    stored while the store holds fewer than `_CLASS_CAP` classes."""
     weights, clip, classes, _ = _adjoint_weights(rs)
     clipped = tuple([m if m < clip else clip for m in labels])
-    if clipped not in classes:
+    found = classes.get(clipped)
+    if found is None:
         inside, outside = [], []
         for weight in weights:
             x = [m + 1 + b for m, b in zip(clipped, weight[0])]
             if 0 not in x:
                 (inside if min(x) > 0 else outside).append(weight)
-        classes[clipped] = tuple(inside), tuple(outside)
-    return classes[clipped]
+        found = tuple(inside), tuple(outside)
+        if len(classes) < _CLASS_CAP:
+            classes[clipped] = found
+    return found
 
 
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:

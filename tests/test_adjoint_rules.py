@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import lru_cache
-from operator import add, ge
+from operator import add, ge, mul, sub
 
 import pytest
 
@@ -236,7 +236,10 @@ def _sparse_mismatches(algebra, levels):
 
 
 FULL_ROW_GRIDS = [(algebra, range(2, 7)) for algebra in algebras_up_to(4)] + [
-    (AlgebraId("E", 6), range(2, 5)), (AlgebraId("E", 7), range(2, 4)), (AlgebraId("E", 8), range(2, 4))]
+    (AlgebraId("E", 6), range(2, 5)), (AlgebraId("E", 7), range(2, 4)), (AlgebraId("E", 8), range(2, 4))] + [
+    # rows that span several 64-bit words: 72 to 800 roots
+    (AlgebraId(series, 8), range(2, 5)) for series in "ABD"] + [
+    (AlgebraId("B", 20), range(3, 4)), (AlgebraId("D", 16), range(3, 4))]
 
 
 @pytest.mark.parametrize("algebra,levels", FULL_ROW_GRIDS, ids=[str(algebra) for algebra, _ in FULL_ROW_GRIDS])
@@ -282,6 +285,63 @@ def test_sparse_rows_are_the_nonzero_thresholds(algebra):
         for i, t in floor:
             full[i] = t
         assert tuple(full) == want
+
+
+def _row_entries(rs, rows, mu):
+    """decompose read straight off the given sparse rows, in row order."""
+    entries = {}
+    d = diag_fusion(rs, mu)
+    if d:
+        entries[mu.finite] = d
+    for beta, floor in rows:
+        if all(mu.labels[i] >= t for i, t in floor):
+            entries[tuple(map(add, mu.finite, beta))] = 1
+    return list(entries.items())
+
+
+def test_bitsets_follow_the_rows_in_the_derived_slot():
+    # decompose's bitsets are a view of `rule_table`: rows planted in a
+    # hand-built B3 after a first call, with one threshold raised, reach it
+    # there, and the shared instance of `build` keeps its own
+    shared = build("B3")
+    grid = [mu for level in range(2, 6) for mu in enumerate_level(shared, level)]
+    before = [list(decompose(shared, mu).entries.items()) for mu in grid]
+    rs = RootSystem(AlgebraId("B", 3))
+    assert [list(decompose(rs, mu).entries.items()) for mu in grid] == before
+    rows = list(rule_table(rs))
+    beta, ((i, t), *rest) = rows[0]
+    rows[0] = (beta, ((i, t + 1), *rest))
+    rs.derived["rule_table"] = planted = tuple(rows)
+    got = [list(decompose(rs, mu).entries.items()) for mu in grid]
+    assert got == [_row_entries(rs, planted, mu) for mu in grid]
+    assert got != before
+    assert [list(decompose(shared, mu).entries.items()) for mu in grid] == before
+
+
+def _clipped_reading(rs, mu):
+    """The diagonal value of theta (x) mu and its off-diagonal shifts nu - mu."""
+    shifts = {tuple(map(sub, nu, mu.finite)) for nu in decompose(rs, mu).entries if nu != mu.finite}
+    return diag_fusion(rs, mu), shifts
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(6) + [AlgebraId("E", 7), AlgebraId("E", 8)], ids=str)
+def test_decompose_reads_labels_only_through_the_clip(algebra):
+    # c = max(0, -min beta^_i), the oracle's clip, read off the roots and not
+    # off the rules: a weight with labels from c to 1000 decomposes as the
+    # weight clipped at c, each taken at its own level
+    rs = build(algebra)
+    clip = max(max(rs.theta_pairing(beta.labels), -min(beta.labels)) for beta in rs.roots)
+    rng = random.Random(f"clip:{algebra}")
+    high = 0
+    for _ in range(80):
+        labels = [rng.randint(clip, 1000) if rng.random() < 0.5 else rng.randint(0, clip - 1)
+                  for _ in range(rs.rank + 1)]
+        labels[rng.randrange(rs.rank + 1)] = rng.randint(clip + 1, 1000)
+        clipped = [min(x, clip) for x in labels]
+        mu, v = (AffineWeight(sum(map(mul, rs.affine_comarks, x)), tuple(x)) for x in (labels, clipped))
+        assert _clipped_reading(rs, mu) == _clipped_reading(rs, v), labels
+        high += sum(x > clip for x in labels)
+    assert high > 80
 
 
 def _rules_on_grid(rs, level):

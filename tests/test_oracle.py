@@ -11,6 +11,7 @@ from fusionkit import (
     AlgebraMismatch,
     LevelMismatch,
     LevelTooSmall,
+    RootSystem,
     affinize,
     build,
     decompose,
@@ -295,6 +296,22 @@ def test_sorting_cache_is_bounded_and_shares_the_records():
             assert sorted_classes is classes[key]
             assert {id(w) for w in inside + outside} <= records
         assert set(classes) == keys, rs.algebra
+
+
+def test_class_store_stops_at_its_cap(monkeypatch):
+    # past the cap a class is sorted and returned unstored: a hand-built
+    # instance with the cap at 5 fuses as the shared one and stores 5 classes
+    for name, top in (("A3", 7), ("F4", 5)):
+        shared = build(name)
+        grid = [mu for level in range(2, top + 1) for mu in enumerate_level(shared, level)]
+        want = [kac_walton_fusion(shared, mu) for mu in grid]
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "_CLASS_CAP", 5)
+            rs = RootSystem(shared.algebra)
+            assert [kac_walton_fusion(rs, mu) for mu in grid] == want
+            _, clip, classes, _ = oracle._adjoint_weights(rs)
+        assert len(classes) == 5
+        assert len({tuple(min(m, clip) for m in mu.labels) for mu in grid}) > 5
 
 
 _RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "depth", "nontrivial_conditions",
