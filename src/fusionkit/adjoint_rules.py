@@ -8,15 +8,16 @@ with multiplicities that never exceed the rank:
 * off-diagonal (nu = mu + beta for a root beta): the multiplicity is 0 or 1,
   and it is 1 exactly when mu-hat lies label by label above the minimal affine
   weight of beta: one row per root in `rule_table`, read off the roots of the
-  root system handed in and stored in its `derived` slot, like the oracle's.
-  A row keeps only the nonzero thresholds (1.4 to 2.1 of r + 1), as a zero
-  threshold never fails.  `decompose` ANDs per label, clipped at c (the largest
-  threshold), the bitset of the rows it passes; the set bits are the passing
-  rows, in root order.  The finite thresholds are the root-string depths
-  d_i(beta), never below the bound max(0, -beta_i) that dominance of mu and nu
-  already forces, so only the few (beta, i) with depth exceeding that bound
-  decide anything beyond dominance; those are the "nontrivial conditions" that
-  `tables` reads off the same rows, with the paper's other worked tables.
+  root system handed in.  `rule_table` is the one builder of the rule: the
+  tables read its rows, and `decompose` reads a record built from them on
+  first use and stored in the root system's `derived` slot, like the oracle's.
+  For each label it ANDs, clipped at c (the largest threshold), the bitset of
+  the rows it passes; the set bits are the passing rows, in root order.  The
+  finite thresholds are the root-string depths d_i(beta), never below the
+  bound max(0, -beta_i) that dominance of mu and nu already forces, so only
+  the few (beta, i) with depth exceeding that bound decide anything beyond
+  dominance; those are the "nontrivial conditions" that `tables` reads off the
+  same rows, with the paper's other worked tables.
 
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
@@ -41,10 +42,10 @@ class FusionDecomposition(namedtuple("FusionDecomposition", "entries")):
     __slots__ = ()
 
 
-def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...]], ...]:
-    """The off-diagonal rule of this root system, stored on it: one row
-    (beta, ((i, t_i), ...)) per root in ``rs.roots`` order, with the labels of
-    beta and the nonzero labels t_i of its minimal affine weight (t_0; ..., t_r).
+def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+    """The off-diagonal rule of this root system: one row (beta, (t_0, t_1, ..., t_r))
+    per root in ``rs.roots`` order, with the labels of beta and its whole minimal
+    affine weight, zeros included.
 
     theta (x) mu contains mu + beta, once, exactly when mu-hat >= (t_0; t_1..t_r)
     label by label, with t_0 = max(0, (theta, beta)) and t_i = d_i(beta), the
@@ -53,13 +54,7 @@ def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[tuple[int, int], ...
     t_i >= max(0, -beta_i): the row implies dominance of mu + beta, and
     t_0 >= (theta, beta) keeps its zeroth label >= 0.
     """
-    if "rule_table" not in rs.derived:
-        rows = []
-        for beta in rs.roots:
-            floor = (max(0, rs.theta_pairing(beta.labels)),) + beta.depth
-            rows.append((beta.labels, tuple((i, t) for i, t in enumerate(floor) if t)))
-        rs.derived["rule_table"] = tuple(rows)
-    return rs.derived["rule_table"]
+    return tuple((beta.labels, (max(0, rs.theta_pairing(beta.labels)),) + beta.depth) for beta in rs.roots)
 
 
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
@@ -73,21 +68,6 @@ def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
     return decompose(rs, affinize(rs, mu, stable_level(rs, mu)))
 
 
-def _rule_bits(rs: RootSystem) -> tuple:
-    """(rows, c, passes): bit n of passes[i][x], x = 0..c, is set when row n's threshold at label i is <= x.
-    Kept in the derived slot next to the rows, and rebuilt whenever `rule_table` hands back other rows."""
-    rows = rule_table(rs)
-    if rs.derived.get("rule_bits", (None,))[0] is not rows:
-        clip = max((t for _, floor in rows for _, t in floor), default=0)
-        passes = [[(1 << len(rows)) - 1] * (clip + 1) for _ in range(rs.rank + 1)]
-        for n, (_, floor) in enumerate(rows):
-            for i, t in floor:
-                for x in range(t):
-                    passes[i][x] &= ~(1 << n)
-        rs.derived["rule_bits"] = rows, clip, passes
-    return rs.derived["rule_bits"]
-
-
 def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     """Full decomposition of theta (x) mu in the level-k fusion ring."""
     entries: dict[Weight, int] = {}
@@ -95,7 +75,17 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     finite = mu.finite
     if d:
         entries[finite] = d
-    rows, clip, passes = _rule_bits(rs)
+    if "off_diagonal" not in rs.derived:
+        # bit n of passes[i][x], x = 0..c, is set when row n's threshold at label i is <= x
+        rows = rule_table(rs)
+        clip = max(max(floor) for _, floor in rows)
+        passes = [[(1 << len(rows)) - 1] * (clip + 1) for _ in range(rs.rank + 1)]
+        for n, (_, floor) in enumerate(rows):
+            for i, t in enumerate(floor):
+                for x in range(t):
+                    passes[i][x] &= ~(1 << n)
+        rs.derived["off_diagonal"] = rows, clip, passes
+    rows, clip, passes = rs.derived["off_diagonal"]
     bits = -1
     for x, label in zip(mu.labels, passes):
         bits &= label[x if x < clip else clip]

@@ -95,8 +95,7 @@ def g2_offdiag_row(
 ) -> tuple[tuple[int, int, int], int | None, tuple[int, int, int]]:
     """Recompute one G2 table row from `rule_table` and `nontrivial_conditions`."""
     beta = rs.root_at(coords)
-    thresholds = dict(dict(rule_table(rs))[beta.labels])
-    floor = tuple(thresholds.get(i, 0) for i in range(rs.rank + 1))
+    floor = dict(rule_table(rs))[beta.labels]
     star = next((c.index for c in nontrivial_conditions(rs) if c.root == tuple(map(abs, coords))), None)
     delta = (-rs.theta_pairing(beta.labels),) + beta.labels
     return floor, star, delta
@@ -173,17 +172,17 @@ def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
     """All root-string conditions that dominance does not already imply, read
     off the `rule_table` rows that `decompose` reads.
 
-    Row beta pins finite node i - 1 when its threshold t_i > 0 exceeds the
-    dominance bound -beta_{i-1}.  Nontriviality is sign-symmetric
+    Row beta pins finite node i - 1 when its threshold t_i exceeds the
+    dominance bound max(0, -beta_{i-1}).  Nontriviality is sign-symmetric
     (d_i(-beta) = d_i(beta) + beta_i), so each condition is recorded once on
     the positive root, with the thresholds of rows beta and -beta.
     """
     rows = dict(rule_table(rs))
     out = []
     for beta in rs.positive_roots:
-        minus = dict(rows[(-beta).labels])
-        out += (NontrivialCondition(beta.coords, i - 1, t, minus.get(i, 0))
-                for i, t in rows[beta.labels] if i and t > -beta.labels[i - 1])
+        minus = rows[(-beta).labels]
+        out += (NontrivialCondition(beta.coords, i - 1, t, minus[i])
+                for i, t in enumerate(rows[beta.labels]) if i and t > max(0, -beta.labels[i - 1]))
     return tuple(sorted(out, key=lambda c: (c.root, c.index)))
 
 

@@ -49,7 +49,9 @@ TADPOLES = {
 
 
 def tadpole_by(kind: str, method: str, algebra: AlgebraId, level: int) -> int:
-    """The `kind` tadpole by one route; the level is refused before a counting route builds its root system."""
+    """The `kind` tadpole by one route; an unknown route, then the level, is refused before any build."""
+    if method not in ("formula", "enum", "oracle"):
+        raise ValueError(f"tadpole_by: no route {method!r}; the routes are formula, enum and oracle")
     _check_level(kind, algebra, level)
     return globals()[TADPOLES[kind][method]](algebra if method == "formula" else build(algebra), level)
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import lru_cache
-from operator import add, ge, mul, sub
+from operator import add, ge, mul, ne, sub
 
 import pytest
 
@@ -27,7 +27,7 @@ from fusionkit import (
 )
 from fusionkit import adjoint_rules
 from fusionkit.adjoint_rules import rule_table
-from fusionkit.algebra import algebras_up_to
+from fusionkit.algebra import algebras_up_to, parse_algebra
 from fusionkit.tables import f4_string_row, g2_offdiag_row
 from offdiag_reference import offdiag_affine_reflection, offdiag_conditions, offdiag_endpoint
 
@@ -217,8 +217,8 @@ def _full_rows(rs):
 
 
 def _full_row_entries(rs, mu):
-    """decompose as it was before the sparse rows: every full row compared on
-    all r + 1 labels, in row order."""
+    """decompose as it was before the bitsets: every full row compared on all
+    r + 1 labels, in row order."""
     entries = {}
     d = diag_fusion(rs, mu)
     if d:
@@ -229,10 +229,12 @@ def _full_row_entries(rs, mu):
     return list(entries.items())
 
 
-def _sparse_mismatches(algebra, levels):
-    rs = build(algebra)
+def _row_mismatches(rs, levels):
+    """The weights on which `decompose` on rs and the full rows of the shared
+    instance of `build` disagree, in entries or in their order."""
+    shared = build(rs.algebra)
     return [mu for level in levels for mu in enumerate_level(rs, level)
-            if list(decompose(rs, mu).entries.items()) != _full_row_entries(rs, mu)]
+            if list(decompose(rs, mu).entries.items()) != _full_row_entries(shared, mu)]
 
 
 FULL_ROW_GRIDS = [(algebra, range(2, 7)) for algebra in algebras_up_to(4)] + [
@@ -245,7 +247,7 @@ FULL_ROW_GRIDS = [(algebra, range(2, 7)) for algebra in algebras_up_to(4)] + [
 @pytest.mark.parametrize("algebra,levels", FULL_ROW_GRIDS, ids=[str(algebra) for algebra, _ in FULL_ROW_GRIDS])
 def test_sparse_rows_decompose_as_full_rows(algebra, levels):
     # same entries in the same insertion order as the full-row loop
-    assert _sparse_mismatches(algebra, levels) == []
+    assert _row_mismatches(build(algebra), levels) == []
 
 
 def _theta_level(rs, beta, i, t):
@@ -258,64 +260,47 @@ def _root_string(rs, beta, i, t):
 
 @pytest.mark.parametrize("name,lost", [("A2", _theta_level), ("G2", _root_string), ("F4", _root_string)])
 def test_full_row_cross_check_catches_a_dropped_condition(name, lost, monkeypatch):
-    # plant one lost threshold in `rule_table` (theta's zeroth label, or the
-    # first nontrivial root-string condition): the cross-check must see it
-    rs = build(name)
-    rows = list(rule_table(rs))
-    n = next(n for n, (beta, floor) in enumerate(rows) if any(lost(rs, beta, *pair) for pair in floor))
+    # plant one lost threshold (theta's zeroth label, or the first nontrivial
+    # root-string condition) in the rows a hand-built instance reads on first
+    # use: the cross-check against the shared instance must see it
+    shared = build(name)
+    rows = list(rule_table(shared))
+    n = next(n for n, (beta, floor) in enumerate(rows) if any(lost(shared, beta, i, t) for i, t in enumerate(floor)))
     beta, floor = rows[n]
-    rows[n] = (beta, tuple(pair for pair in floor if not lost(rs, beta, *pair)))
-    assert len(rows[n][1]) == len(floor) - 1
+    rows[n] = (beta, tuple(0 if lost(shared, beta, i, t) else t for i, t in enumerate(floor)))
+    assert sum(map(ne, rows[n][1], floor)) == 1
     monkeypatch.setattr(adjoint_rules, "rule_table", lambda rs: tuple(rows))
-    assert _sparse_mismatches(rs.algebra, range(2, 7)) != []
+    assert _row_mismatches(RootSystem(shared.algebra), range(2, 7)) != []
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
 def test_sparse_rows_are_the_nonzero_thresholds(algebra):
+    # `rule_table` holds the full rows, zeros included, and no threshold
+    # exceeds 3 (the name predates the full rows; it is kept so the test ids
+    # stay stable)
     rs = build(algebra)
-    table = _full_rows(rs)
     rows = rule_table(rs)
-    assert [beta for beta, _ in rows] == [beta for beta, _ in table]
-    for (beta, floor), (_, want) in zip(rows, table):
-        assert floor, beta
-        indices = [i for i, _ in floor]
-        assert indices == sorted(set(indices))
-        assert all(0 < t <= 3 for _, t in floor), beta
-        full = [0] * len(want)
-        for i, t in floor:
-            full[i] = t
-        assert tuple(full) == want
+    assert rows == _full_rows(rs)
+    assert max(max(floor) for _, floor in rows) <= 3
 
 
-def _row_entries(rs, rows, mu):
-    """decompose read straight off the given sparse rows, in row order."""
-    entries = {}
-    d = diag_fusion(rs, mu)
-    if d:
-        entries[mu.finite] = d
-    for beta, floor in rows:
-        if all(mu.labels[i] >= t for i, t in floor):
-            entries[tuple(map(add, mu.finite, beta))] = 1
-    return list(entries.items())
+@pytest.mark.parametrize("name", ["A1", "G2", "F4", "E6"])
+def test_decompose_builds_the_rule_once(name, monkeypatch):
+    # decompose reads one record built from `rule_table` on first use: a
+    # whole level grid on a fresh instance, tensor form included, calls it once
+    calls = []
 
+    def counted(rs):
+        calls.append(rs)
+        return rule_table(rs)
 
-def test_bitsets_follow_the_rows_in_the_derived_slot():
-    # decompose's bitsets are a view of `rule_table`: rows planted in a
-    # hand-built B3 after a first call, with one threshold raised, reach it
-    # there, and the shared instance of `build` keeps its own
-    shared = build("B3")
-    grid = [mu for level in range(2, 6) for mu in enumerate_level(shared, level)]
-    before = [list(decompose(shared, mu).entries.items()) for mu in grid]
-    rs = RootSystem(AlgebraId("B", 3))
-    assert [list(decompose(rs, mu).entries.items()) for mu in grid] == before
-    rows = list(rule_table(rs))
-    beta, ((i, t), *rest) = rows[0]
-    rows[0] = (beta, ((i, t + 1), *rest))
-    rs.derived["rule_table"] = planted = tuple(rows)
-    got = [list(decompose(rs, mu).entries.items()) for mu in grid]
-    assert got == [_row_entries(rs, planted, mu) for mu in grid]
-    assert got != before
-    assert [list(decompose(shared, mu).entries.items()) for mu in grid] == before
+    monkeypatch.setattr(adjoint_rules, "rule_table", counted)
+    rs = RootSystem(parse_algebra(name))
+    for level in range(2, 6):
+        for mu in enumerate_level(rs, level):
+            decompose(rs, mu)
+            decompose_tensor(rs, mu.finite)
+    assert calls == [rs]
 
 
 def _clipped_reading(rs, mu):

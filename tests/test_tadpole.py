@@ -257,6 +257,24 @@ def test_level_gates():
     assert zero_tadpole_enum(rs, 0) == 1
 
 
+@pytest.mark.parametrize("method", ["floor", "polynomial", "all", "Formula"])
+@pytest.mark.parametrize("kind", sorted(tadpole.TADPOLES))
+def test_tadpole_by_runs_only_the_three_routes(kind, method, monkeypatch):
+    # the other keys of TADPOLES[kind] are no route: refused by name, before
+    # the level guard (level 1 fails the adjoint floor) and before any build
+    def no_build(algebra):
+        raise AssertionError(f"built {algebra}")
+
+    a2 = AlgebraId("A", 2)
+    monkeypatch.setattr(tadpole, "build", no_build)
+    for level in (1, 3):
+        with pytest.raises(ValueError, match="no route"):
+            tadpole.tadpole_by(kind, method, a2, level)
+    monkeypatch.undo()
+    values = {tadpole.tadpole_by(kind, route, a2, 3) for route in ("formula", "enum", "oracle")}
+    assert len(values) == 1
+
+
 def test_zero_polynomial_period_matches_comark_lcm():
     assert zero_tadpole_polynomial(AlgebraId("A", 4)).period == 1
     assert zero_tadpole_polynomial(AlgebraId("C", 4)).period == 1
