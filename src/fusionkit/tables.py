@@ -175,14 +175,15 @@ def nontrivial_conditions(rs: RootSystem) -> tuple[NontrivialCondition, ...]:
     Row beta pins finite node i - 1 when its threshold t_i exceeds the
     dominance bound max(0, -beta_{i-1}).  Nontriviality is sign-symmetric
     (d_i(-beta) = d_i(beta) + beta_i), so each condition is recorded once on
-    the positive root, with the thresholds of rows beta and -beta.
+    the positive root, with the thresholds of rows beta and -beta.  ``rs.roots``
+    lists the n positive roots, then their negatives in the same order, so the
+    row of -beta_j is row n + j.
     """
-    rows = dict(rule_table(rs))
+    rows = rule_table(rs)
     out = []
-    for beta in rs.positive_roots:
-        minus = rows[(-beta).labels]
+    for beta, (_, floor), (_, minus) in zip(rs.positive_roots, rows, rows[len(rs.positive_roots):]):
         out += (NontrivialCondition(beta.coords, i - 1, t, minus[i])
-                for i, t in enumerate(rows[beta.labels]) if i and t > max(0, -beta.labels[i - 1]))
+                for i, t in enumerate(floor) if i and t > max(0, -beta.labels[i - 1]))
     return tuple(sorted(out, key=lambda c: (c.root, c.index)))
 
 

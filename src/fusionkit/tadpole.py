@@ -7,9 +7,11 @@ diagonal coefficients of theta (x) mu over those weights).  Both are
 quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
 The classical forms are the paper's sums of falling factorials in J, by
-`math.perm`, each one fraction over a factorial; the E6 forms are literal rows
-of rational coefficients, each run by integer Horner over its common
-denominator.  Every value takes one exact division; `tables` holds the B table.
+`math.perm`, each one integer over a factorial fixed once per algebra; the E6
+forms are literal rows of rational coefficients, each run by integer Horner
+over its common denominator.  Every value takes one `divmod`, in `_exact`;
+`tables` holds the B table.  The counting route keeps one array of vacuum
+counts per root system, at most twice the highest level asked and freed with it.
 `TADPOLES` names each kind's level floor and routes once, and `tadpole_by` runs
 a route by its name; the CLI, `verify` and `tables` read both.
 """
@@ -65,9 +67,10 @@ def _check_level(kind: str, algebra: AlgebraId, level: int) -> None:
 class PiecewisePolynomial(namedtuple("PiecewisePolynomial", "name period branches")):
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
-    Branch t is a callable of J, where k = period * J + t, returning the exact value of a
-    polynomial in J: a Fraction over a factorial for A-D, integer Horner over one denominator
-    per row for E6.  Both evaluations enforce integrality and `evaluate` refuses negatives;
+    Branch t is a callable of J, where k = period * J + t, returning the value of a polynomial
+    in J as an exact value (an int or a Fraction): an integer over a factorial for A-D, integer
+    Horner over one denominator per row for E6, each divided by `_exact`.  `evaluate_raw`
+    refuses a value that is not an integer and `evaluate` refuses negatives;
     the level floors are in `TADPOLES` (recurrence identities legitimately read values below them).
     """
 
@@ -93,12 +96,19 @@ class PiecewisePolynomial(namedtuple("PiecewisePolynomial", "name period branche
         return value
 
 
+def _exact(numerator: int, denominator: int):
+    """numerator / denominator exactly: the int quotient when it divides, else the Fraction,
+    which `evaluate_raw` refuses."""
+    q, rest = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if rest else q
+
+
 def _horner(coefficients, denominator, x):
     """Horner's rule on integer coefficients, highest power first, over one denominator."""
     total = 0
     for a in coefficients:
         total = total * x + a
-    return Fraction(total, denominator)
+    return _exact(total, denominator)
 
 
 def _rows(rows):
@@ -137,26 +147,24 @@ _E6_ZERO = _rows((
 @lru_cache(maxsize=None)
 def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
-    name = f"adjoint tadpole[{algebra}]"
+    name, d = f"adjoint tadpole[{algebra}]", factorial(r - 1)
     if f in ("A", "C"):
         return PiecewisePolynomial(name, 1, (
-            lambda j: Fraction((j - 1) * falling_power(j + r - 1, r - 1), factorial(r - 1)),
+            lambda j: _exact((j - 1) * falling_power(j + r - 1, r - 1), d),
         ))
     if f == "B":
         return PiecewisePolynomial(name, 2, (
-            lambda j: Fraction(4 * falling_power(j + r - 1, r) - 3 * (r - 1) * falling_power(j + r - 2, r - 1)
-                               - falling_power(j + r - 1, r - 1), factorial(r - 1)),
-            lambda j: Fraction(4 * falling_power(j + r - 1, r) - (r - 2) * falling_power(j + r - 2, r - 1),
-                               factorial(r - 1)),
+            lambda j: _exact(4 * falling_power(j + r - 1, r) - 3 * (r - 1) * falling_power(j + r - 2, r - 1)
+                             - falling_power(j + r - 1, r - 1), d),
+            lambda j: _exact(4 * falling_power(j + r - 1, r) - (r - 2) * falling_power(j + r - 2, r - 1), d),
         ))
     if f == "D":
         # even: 8J (J+r-2)_{r-1} / (r-1)! + (r-4) (J+r-3)_{r-2} / (r-2)! - (J+r-3)_{r-3} / (r-3)!
         return PiecewisePolynomial(name, 2, (
-            lambda j: Fraction(8 * j * falling_power(j + r - 2, r - 1) + (r - 1) * (
+            lambda j: _exact(8 * j * falling_power(j + r - 2, r - 1) + (r - 1) * (
                 (r - 4) * falling_power(j + r - 3, r - 2) - (r - 2) * falling_power(j + r - 3, r - 3)
-            ), factorial(r - 1)),
-            lambda j: Fraction(8 * falling_power(j + r - 2, r) + 4 * (r + 2) * falling_power(j + r - 2, r - 1),
-                               factorial(r - 1)),
+            ), d),
+            lambda j: _exact(8 * falling_power(j + r - 2, r) + 4 * (r + 2) * falling_power(j + r - 2, r - 1), d),
         ))
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ADJOINT)
@@ -166,21 +174,19 @@ def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
 @lru_cache(maxsize=None)
 def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
-    name = f"vacuum tadpole[{algebra}]"
+    name, d = f"vacuum tadpole[{algebra}]", factorial(r)
     if f in ("A", "C"):
-        return PiecewisePolynomial(name, 1, (lambda j: Fraction(falling_power(j + r, r), factorial(r)),))
+        return PiecewisePolynomial(name, 1, (lambda j: _exact(falling_power(j + r, r), d),))
     if f == "B":
         return PiecewisePolynomial(name, 2, (
-            lambda j: Fraction(falling_power(j + r, r) + 3 * falling_power(j + r - 1, r), factorial(r)),
-            lambda j: Fraction(3 * falling_power(j + r, r) + falling_power(j + r - 1, r), factorial(r)),
+            lambda j: _exact(falling_power(j + r, r) + 3 * falling_power(j + r - 1, r), d),
+            lambda j: _exact(3 * falling_power(j + r, r) + falling_power(j + r - 1, r), d),
         ))
     if f == "D":
         # even: 8 (J+r-1)_r / r! + (J+r-2)_{r-2} / (r-2)!;  odd: 8 (J+r-1)_r / r! + 4 (J+r-1)_{r-1} / (r-1)!
         return PiecewisePolynomial(name, 2, (
-            lambda j: Fraction(8 * falling_power(j + r - 1, r) + r * (r - 1) * falling_power(j + r - 2, r - 2),
-                               factorial(r)),
-            lambda j: Fraction(8 * falling_power(j + r - 1, r) + 4 * r * falling_power(j + r - 1, r - 1),
-                               factorial(r)),
+            lambda j: _exact(8 * falling_power(j + r - 1, r) + r * (r - 1) * falling_power(j + r - 2, r - 2), d),
+            lambda j: _exact(8 * falling_power(j + r - 1, r) + 4 * r * falling_power(j + r - 1, r - 1), d),
         ))
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ZERO)
@@ -201,16 +207,23 @@ def zero_tadpole_formula(algebra: AlgebraId, level: int) -> int:
 
 
 def _vacuum_counts(rs: RootSystem, level: int) -> list[int]:
-    """counts[b] = number of dominant affine weights at level b, for b = 0..level.
+    """counts[b] = number of dominant affine weights at level b, for b = 0..top, top >= level.
 
     Sylvester's denumerant of the affine comarks, filled in place coin-change
     style: once comark a_i is taken in, counts[b] counts the solutions of
-    sum_i a_i x_i = b over the comarks taken so far.
+    sum_i a_i x_i = b over the comarks taken so far.  The array is kept in the
+    root system's `derived` slot and read, not copied: it is rebuilt only for a
+    level above its top, to max(level, 2 top), so a sweep up to K rebuilds it
+    O(log K) times and it never holds more than twice the highest level asked.
     """
-    counts = [1] + [0] * level
-    for m in rs.affine_comarks:
-        for b in range(m, level + 1):
-            counts[b] += counts[b - m]
+    counts = rs.derived.get("vacuum_counts", [1])
+    if len(counts) <= level:
+        top = max(level, 2 * len(counts) - 2)
+        counts = [1] + [0] * top
+        for m in rs.affine_comarks:
+            for b in range(m, top + 1):
+                counts[b] += counts[b - m]
+        rs.derived["vacuum_counts"] = counts
     return counts
 
 

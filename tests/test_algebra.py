@@ -13,6 +13,7 @@ from fusionkit import (
     build,
     parse_algebra,
 )
+from fusionkit.adjoint_rules import rule_table
 from fusionkit.algebra import _POSITIVE_COUNTS, algebras_up_to
 
 from root_reference import (
@@ -149,6 +150,18 @@ def _exponents(algebra):
     if f == "D":
         return tuple(range(1, 2 * r - 2, 2)) + (r - 1,)
     return EXCEPTIONAL_EXPONENTS[str(algebra)]
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
+def test_roots_are_the_positive_roots_then_their_negatives_in_order(algebra):
+    # `tables.nontrivial_conditions` reads the rule row of -beta_j at n + j
+    rs = build(algebra)
+    n = len(rs.positive_roots)
+    assert len(rs.roots) == 2 * n and rs.roots[:n] == rs.positive_roots
+    for beta, minus in zip(rs.positive_roots, rs.roots[n:]):
+        assert min(beta.coords) >= 0 and max(beta.coords) > 0, beta
+        assert minus.coords == tuple(-c for c in beta.coords) and minus.labels == tuple(-x for x in beta.labels)
+    assert [labels for labels, _ in rule_table(rs)] == [beta.labels for beta in rs.roots]
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(20) + [AlgebraId(f, r) for r in (30, 40) for f in "ABCD"],

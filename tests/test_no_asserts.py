@@ -47,6 +47,27 @@ def test_non_integral_polynomial_raises_under_optimize():
     assert proc.stdout.strip() == "raised"
 
 
+_EXACT_REMAINDER = (
+    "from fusionkit.tadpole import PiecewisePolynomial, _exact\n"
+    "p = PiecewisePolynomial('halves', 1, (lambda j: _exact(j, 2),))\n"
+    "print(repr(p.evaluate_raw(4)))\n"
+    "try:\n"
+    "    p.evaluate_raw(3)\n"
+    "except RuntimeError as exc:\n"
+    "    print(exc)\n"
+)
+
+
+def test_a_remainder_left_by_exact_raises_under_python_and_optimize():
+    # the closed forms divide through `_exact`: a quotient that does not divide
+    # comes back as a Fraction, which the integrality guard must refuse
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _EXACT_REMAINDER], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["2", "halves at level 3 is 3/2, not an integer"]
+
+
 def test_theta_guard_raises_under_optimize():
     # B3 has theta = (0, 1, 0) = 1 a_1 + 2 a_2 + 2 a_3; a symmetrizer of
     # (1, 1/2, 1/2) gives the integral comarks (1, 1, 1), so the pairing gives

@@ -15,6 +15,7 @@ from fusionkit.adjoint_rules import decompose
 from fusionkit.algebra import RootSystem, parse_algebra
 from fusionkit.oracle import kac_walton_fusion
 from fusionkit.tables import nontrivial_conditions
+from fusionkit.tadpole import adjoint_tadpole_enum, zero_tadpole_enum
 from fusionkit.weights import enumerate_level
 
 PACKAGE = Path(fusionkit.__file__).resolve().parent
@@ -65,8 +66,8 @@ def test_the_guard_passes_name_keyed_caches():
 
 
 def test_hand_built_root_systems_are_freed():
-    # the rules, the oracle and the condition table each read every instance;
-    # whatever they derive from it must not keep it alive
+    # the rules, the oracle, the condition table and the tadpole counts each read
+    # every instance; whatever they derive from it must not keep it alive
     refs = []
     for name in ("A2", "B3", "C3", "G2", "F4", "E6"):
         rs = RootSystem(parse_algebra(name))
@@ -74,6 +75,8 @@ def test_hand_built_root_systems_are_freed():
             decompose(rs, mu)
             kac_walton_fusion(rs, mu)
         nontrivial_conditions(rs)
+        zero_tadpole_enum(rs, 40)
+        adjoint_tadpole_enum(rs, 90)
         refs.append(weakref.ref(rs))
     del rs
     gc.collect()

@@ -1,5 +1,6 @@
 import ast
 import gc
+import random
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -24,9 +25,9 @@ from fusionkit import (
     zero_tadpole_formula,
     zero_tadpole_polynomial,
 )
-from fusionkit.algebra import algebras_up_to
+from fusionkit.algebra import RootSystem, algebras_up_to
 from fusionkit.tables import check_b_table
-from fusionkit.tadpole import _vacuum_counts
+from fusionkit.tadpole import _exact, _vacuum_counts
 
 # Frozen reference sequences for E6 (levels 0..19), from direct enumeration.
 E6_ZERO = (1, 3, 9, 20, 42, 78, 139, 231, 372, 573, 861, 1254, 1791, 2499,
@@ -58,6 +59,14 @@ def test_falling_power_int_path_matches_the_product():
                 product *= x - j
             got = falling_power(x, m)
             assert got == product and type(got) is int, (x, m)
+
+
+def test_exact_returns_the_int_quotient_or_the_fraction():
+    for n in range(-60, 61):
+        for d in range(1, 8):
+            got = _exact(n, d)
+            assert got == Fraction(n, d), (n, d)
+            assert type(got) is (int if n % d == 0 else Fraction), (n, d)
 
 
 def _published_e6_rows():
@@ -220,6 +229,58 @@ def test_closed_forms_satisfy_shifted_sum_identity(algebra):
         assert adjoint.evaluate_raw(k) == shifted - zero.evaluate_raw(k), k
 
 
+def _coin_change(comarks, level):
+    """Vacuum and adjoint tadpole at one level from a fresh array, comarks taken
+    highest first: the per-call reference for the stored array."""
+    counts = [1] + [0] * level
+    for m in sorted(comarks, reverse=True):
+        for b in range(m, level + 1):
+            counts[b] += counts[b - m]
+    return counts[level], sum(counts[level - m] for m in comarks if m <= level) - counts[level]
+
+
+@pytest.mark.parametrize("algebra", algebras_up_to(8), ids=str)
+def test_stored_counts_match_a_per_call_reference_in_any_order(algebra):
+    # shuffled levels grow, reread and regrow the one array of a fresh instance
+    rs = RootSystem(algebra)
+    calls = [(k, kind) for k in range(61) for kind in ("vacuum", "adjoint") if kind == "vacuum" or k >= 2]
+    random.Random(str(algebra)).shuffle(calls)
+    for k, kind in calls:
+        zero, adjoint = _coin_change(rs.affine_comarks, k)
+        if kind == "vacuum":
+            assert zero_tadpole_enum(rs, k) == zero, k
+        else:
+            assert adjoint_tadpole_enum(rs, k) == adjoint, k
+    assert len(rs.derived["vacuum_counts"]) <= 2 * 60 + 1
+
+
+def test_an_ascending_sweep_rebuilds_the_array_log_times():
+    rs, top = RootSystem(AlgebraId("E", 8)), 1000
+    arrays = []
+    for k in range(top + 1):
+        zero_tadpole_enum(rs, k)
+        if k >= 2:
+            adjoint_tadpole_enum(rs, k)
+        if k and (not arrays or rs.derived["vacuum_counts"] is not arrays[-1]):
+            arrays.append(rs.derived["vacuum_counts"])
+    tops = [len(counts) - 1 for counts in arrays]
+    assert tops[:3] == [1, 2, 4] and all(b >= 2 * a for a, b in zip(tops, tops[1:])), tops
+    assert len(arrays) <= top.bit_length() + 2 and top <= tops[-1] <= 2 * top, tops
+    assert arrays[-1][top] == _coin_change(rs.affine_comarks, top)[0]
+
+
+def test_a_planted_comark_fault_reaches_enum_and_spares_build():
+    # a hand-built B3 given the affine comarks of A3 before its first count
+    planted, b3, a3 = RootSystem(AlgebraId("B", 3)), build("B3"), AlgebraId("A", 3)
+    planted.affine_comarks = (1, 1, 1, 1)
+    for k in range(2, 30):
+        assert zero_tadpole_enum(planted, k) == zero_tadpole_formula(a3, k) != zero_tadpole_enum(b3, k), k
+        assert adjoint_tadpole_enum(planted, k) == adjoint_tadpole_formula(a3, k), k
+        assert zero_tadpole_enum(b3, k) == zero_tadpole_formula(b3.algebra, k), k
+        assert adjoint_tadpole_enum(b3, k) == adjoint_tadpole_formula(b3.algebra, k), k
+    assert planted.derived["vacuum_counts"] is not b3.derived["vacuum_counts"]
+
+
 def test_tadpole_sums_leave_no_garbage():
     rs = build("B3")
     gc.collect()
@@ -351,6 +412,14 @@ def test_formula_and_enumeration_share_only_the_level_guard(kind):
     assert {routes["polynomial"], "falling_power", "_check_level"} <= formula
     assert {"_vacuum_counts", "_check_level"} <= enum
     assert formula & enum <= _LEVEL_GUARD
+
+
+@pytest.mark.parametrize("kind", sorted(tadpole.TADPOLES))
+def test_only_the_formula_route_divides(kind):
+    names = _module_names()
+    routes = tadpole.TADPOLES[kind]
+    assert "_exact" in _reachable(routes["formula"], names)
+    assert "_exact" not in _reachable(routes["enum"], names)
 
 
 def test_every_route_name_is_a_function_of_the_module():
