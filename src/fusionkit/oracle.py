@@ -12,13 +12,13 @@ the table is built, so a fold keeps sum a^v_i x^_i = k + h^v: a point with every
 label >= 1 is nu^ + 1 with nu dominant at level k.  A point lies on a wall if
 some x^_i = 0: a reflection fixes it, so its fold ends on a wall and it is
 dropped.  It lies inside if every x^_i >= 1, and adds its multiplicity at mu +
-beta unfolded.  Otherwise it lies outside, and `affine_fold` folds it.  Every
-x^_i >= 1 where mu^_i >= c = max(0, -min beta^_i), 2 (3 for G2), so the class
-depends only on mu^ clipped at c: the root system stores the adjoint weights
-sorted once per clipped mu^.  The tensor product is the same sum at the stable
-level (theta, mu) + 2, where no shifted weight reaches the affine wall.  Nothing
-here shares logic with the rule modules beyond the root-system data and the
-input checks of `weights`.
+beta unfolded.  Otherwise it lies outside.  Every x^_i >= 1 where mu^_i >= c =
+max(0, -min beta^_i), 2 (3 for G2), so the class and an outside point's first
+reflection depend only on mu^ clipped at c, and the root system stores both per
+clipped mu^: only a point still outside after it goes on to `affine_fold`.  The
+tensor product is the same sum at the stable level (theta, mu) + 2, where no
+shifted weight reaches the affine wall.  Nothing here shares logic with the
+rule modules beyond the root-system data and the input checks of `weights`.
 """
 
 from __future__ import annotations
@@ -69,17 +69,22 @@ def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weigh
 
 
 def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The adjoint weights that shift mu^ inside the alcove, and those outside it, by mu^ clipped at c,
-    stored while the store holds fewer than `_CLASS_CAP` classes."""
-    weights, clip, classes, _ = _adjoint_weights(rs)
+    """By mu^ clipped at c, the adjoint weights that shift mu^ inside the alcove and, for those outside, the first
+    reflections (beta^ - worst alpha^_i, multiplicity), each value one shared object; stored under `_CLASS_CAP`."""
+    weights, clip, classes, walls = _adjoint_weights(rs)
     clipped = tuple([m if m < clip else clip for m in labels])
     found = classes.get(clipped)
     if found is None:
-        inside, outside = [], []
+        inside, outside, reflected = [], [], rs.derived.setdefault("first_reflections", {})
         for weight in weights:
             x = [m + 1 + b for m, b in zip(clipped, weight[0])]
             if 0 not in x:
-                (inside if min(x) > 0 else outside).append(weight)
+                worst = min(x)
+                if worst > 0:
+                    inside.append(weight)
+                else:
+                    first = tuple([b - worst * a for b, a in zip(weight[0], walls[x.index(worst)])]), weight[2]
+                    outside.append(reflected.setdefault(first, first))
         found = tuple(inside), tuple(outside)
         if len(classes) < _CLASS_CAP:
             classes[clipped] = found
@@ -90,15 +95,20 @@ def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
     inside, outside = _sorted_weights(rs, mu.labels)
-    finite = mu.finite
+    finite, labels = mu.finite, mu.labels
     # distinct weights, each added unfolded at mu + beta
     acc = {tuple(map(add, finite, beta)): times for _, beta, times in inside}
-    shifted = [m + 1 for m in mu.labels]
-    for hat, _, times in outside:
-        sign, folded = affine_fold(rs, list(map(add, shifted, hat)))
-        if sign:
-            nu = tuple([f - 1 for f in folded[1:]])
-            acc[nu] = acc.get(nu, 0) + sign * times
+    for first, times in outside:
+        y = tuple(map(add, labels, first))  # nu^ = x^ - 1 after one reflection, so at sign -1
+        low = min(y)
+        if low >= 0:
+            nu = y[1:]
+            acc[nu] = acc.get(nu, 0) - times
+        elif low < -1:  # still outside, so fold on; at -1 it lies on a wall
+            sign, folded = affine_fold(rs, [v + 1 for v in y])
+            if sign:
+                nu = tuple([f - 1 for f in folded[1:]])
+                acc[nu] = acc.get(nu, 0) - sign * times
     for nu, c in acc.items():
         if c < 0:
             raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {mu.level}")

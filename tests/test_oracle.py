@@ -21,7 +21,7 @@ from fusionkit import (
     racah_speiser_tensor,
 )
 from fusionkit import oracle
-from fusionkit.algebra import algebras_up_to
+from fusionkit.algebra import algebras_up_to, parse_algebra
 from fusionkit.verify import run_verify
 from fusionkit.weights import stable_level
 from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
@@ -229,48 +229,74 @@ def _sorting_grid():
     yield from ((build("A1"), mu) for mu in enumerate_level(build("A1"), 30))
 
 
+def _outside_records(rs, mu):
+    """The adjoint records whose point x^ = mu^ + 1 + beta^ lies outside, in store order, each with x^."""
+    weights = oracle._adjoint_weights(rs)[0]
+    points = ([m + 1 + b for m, b in zip(mu.labels, weight[0])] for weight in weights)
+    return [(weight, x) for weight, x in zip(weights, points) if min(x) < 0 and 0 not in x]
+
+
 def test_sorting_classes_fold_as_claimed():
-    # dropped weights fold to 0, inside ones stay put, outside ones have a
-    # negative affine label; the three classes cover all |roots| + r weights
+    # dropped weights fold to 0, inside ones stay put, and each outside one is
+    # stored as its first reflection on this mu^: x^ - worst alpha^_i, at the
+    # first least label i, which flips label i and keeps the level sum and the
+    # fold up to sign; the three classes cover all |roots| + r weights
     checked, systems = 0, set()
     for rs, mu in _sorting_grid():
-        weights, clip, _, _ = oracle._adjoint_weights(rs)
+        weights, clip, _, walls = oracle._adjoint_weights(rs)
         inside, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
         if rs not in systems:
             assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
             systems.add(rs)
-        inside_ids, outside_ids = {id(w) for w in inside}, {id(w) for w in outside}
-        assert len(inside_ids | outside_ids) == len(inside) + len(outside)
-        covered = 0
+        inside_ids = {id(w) for w in inside}
+        assert len(inside_ids) == len(inside)
+        records = _outside_records(rs, mu)
+        assert len(outside) == len(records)
+        covered = sum(times for (_, times) in outside)
+        for (first, times), (weight, x_hat) in zip(outside, records):
+            worst = min(x_hat)
+            i = x_hat.index(worst)
+            step = [a - worst * w for a, w in zip(x_hat, walls[i])]
+            assert [m + 1 + f for m, f in zip(mu.labels, first)] == step and times == weight[2], (rs.algebra, mu, weight)
+            assert step[i] == -worst
+            assert sum(map(mul, rs.affine_comarks, step)) == mu.level + rs.dual_coxeter
+            sign, folded = oracle.affine_fold(rs, x_hat)
+            assert oracle.affine_fold(rs, step) == (-sign, folded), (rs.algebra, mu, weight)
+        outside_ids = {id(weight) for weight, _ in records}
         for weight in weights:
             x = [m + 1 + b for m, b in zip(mu.finite, weight[1])]
             hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x)] + x
             sign, folded = oracle.affine_fold(rs, list(hat))
             if id(weight) in inside_ids:
                 assert min(hat) >= 1 and (sign, folded) == (1, hat), (rs.algebra, mu, weight)
+                covered += weight[2]
             elif id(weight) in outside_ids:
                 assert 0 not in hat and min(hat) < 0, (rs.algebra, mu, weight)
             else:
                 assert 0 in hat and sign == 0, (rs.algebra, mu, weight)
-            covered += weight[2]
+                covered += weight[2]
         assert covered == len(rs.roots) + rs.rank
         checked += 1
     assert checked == 2505 + 20 * len(algebras_up_to(4)) + 31
 
 
 def test_affine_fold_matches_the_reference_point_by_point():
-    # every outside point folds in affine labels to the sign and finite point of
-    # the finite-coordinate fold, and keeps the level sum k + h^v
+    # every outside point folds in affine labels, from its stored first
+    # reflection at the opposite sign, to the sign and finite point of the
+    # finite-coordinate fold, and keeps the level sum k + h^v
     e8 = build("E8")
     checked = kept = 0
     for rs, mu in [*_sorting_grid(), *((e8, mu) for mu in enumerate_level(e8, 4))]:
         _, clip, _, _ = oracle._adjoint_weights(rs)
         _, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
-        for hat, beta, _ in outside:
-            x_hat = [m + 1 + b for m, b in zip(mu.labels, hat)]
-            sign, folded = oracle.affine_fold(rs, x_hat)
+        records = _outside_records(rs, mu)
+        assert len(outside) == len(records)
+        for (first, _), ((_, beta, _), x_hat) in zip(outside, records):
+            sign, folded = oracle.affine_fold(rs, [m + 1 + f for m, f in zip(mu.labels, first)])
+            sign = -sign
             want = reference_fold(rs, tuple(m + 1 + b for m, b in zip(mu.finite, beta)), mu.level)
             assert (sign, folded and tuple(folded[1:])) == want, (rs.algebra, mu, beta)
+            assert (sign, folded) == oracle.affine_fold(rs, x_hat), (rs.algebra, mu, beta)
             if sign:
                 assert sum(map(mul, rs.affine_comarks, folded)) == mu.level + rs.dual_coxeter
                 kept += 1
@@ -280,22 +306,112 @@ def test_affine_fold_matches_the_reference_point_by_point():
 
 def test_sorting_cache_is_bounded_and_shares_the_records():
     # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of them,
-    # each a pair of tuples of the root system's own records, stored on it
+    # each a pair: a tuple of the root system's own inside records, and a tuple
+    # of first reflections drawn from one store per root system, which holds at
+    # most one per (root, least label i, worst) in |roots| (r + 1) (c - 1)
     systems = [build(algebra) for algebra in algebras_up_to(4)]
     for rs in systems:
         rs.derived.clear()
     assert run_verify(4, 7).ok
     for rs in systems:
         weights, clip, classes, _ = oracle._adjoint_weights(rs)
+        reflected = rs.derived["first_reflections"]
         keys = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
         assert len(keys) <= (clip + 1) ** (rs.rank + 1)
         assert set(classes) == keys, rs.algebra
-        records = {id(w) for w in weights}
+        assert len(reflected) <= len(rs.roots) * (rs.rank + 1) * (clip - 1), rs.algebra
+        if rs.algebra.family in "ADE":
+            # only theta at mu^_0 = 0 and -alpha_i at mu^_i = 0 lie outside, and
+            # each reflects back to mu^ + 1
+            assert list(reflected) == [((0,) * (rs.rank + 1), 1)], rs.algebra
+        records, stored = {id(w) for w in weights}, 0
         for key in keys:
             inside, outside = sorted_classes = oracle._sorted_weights(rs, key)
             assert sorted_classes is classes[key]
-            assert {id(w) for w in inside + outside} <= records
-        assert set(classes) == keys, rs.algebra
+            assert {id(w) for w in inside} <= records
+            assert all(reflected[first] is first for first in outside)
+            stored += len(outside)
+        assert set(classes) == keys and len(reflected) < stored, rs.algebra
+
+
+@pytest.mark.parametrize("algebra", [*algebras_up_to(6), parse_algebra("E7"), parse_algebra("E8")], ids=str)
+def test_oracle_reads_labels_only_through_the_clip(algebra):
+    # labels from c to 1000 change neither an adjoint weight's class nor an
+    # outside point's first reflection, so the stored reflections fuse such a
+    # weight, and its stable-level tensor product, as the tuple fold does
+    rs = build(algebra)
+    clip = max(max(rs.theta_pairing(beta.labels), -min(beta.labels)) for beta in rs.roots)
+    rng = random.Random(f"oracle clip:{algebra}")
+
+    def labels(n):
+        drawn = [rng.randint(clip, 1000) if rng.random() < 0.5 else rng.randint(0, clip - 1) for _ in range(n)]
+        drawn[rng.randrange(n)] = rng.randint(clip + 1, 1000)
+        return tuple(drawn)
+
+    high = 0
+    for _ in range(60):
+        hat = labels(rs.rank + 1)
+        mu = AffineWeight(sum(map(mul, rs.affine_comarks, hat)), hat)
+        assert kac_walton_fusion(rs, mu) == reference_fusion(rs, mu), hat
+        high += sum(m > clip for m in hat)
+    for _ in range(20):
+        finite = labels(rs.rank)
+        want = reference_fusion(rs, affinize(rs, finite, stable_level(rs, finite)))
+        assert racah_speiser_tensor(rs, finite) == want, finite
+        high += sum(m > clip for m in finite)
+    assert high > 80
+
+
+def _counting_folds(monkeypatch):
+    """Record the points that `kac_walton_fusion` hands to `affine_fold`, one list per call."""
+    calls, fold = [], oracle.affine_fold
+    monkeypatch.setattr(oracle, "affine_fold", lambda rs, x: calls.append(list(x)) or fold(rs, x))
+    return calls
+
+
+def test_real_inputs_need_one_reflection(monkeypatch):
+    # every outside point of the identity grid and of E8 at k = 4 leaves the
+    # outside after its stored first reflection, so no fold goes on
+    calls = _counting_folds(monkeypatch)
+    e8, fused = build("E8"), 0
+    for rs, mu in [*((rs, mu) for rs, level in _identity_grid() for mu in enumerate_level(rs, level)),
+                   *((e8, mu) for mu in enumerate_level(e8, 4))]:
+        kac_walton_fusion(rs, mu)
+        fused += 1
+    assert (fused, calls) == (2505 + len(list(enumerate_level(e8, 4))), [])
+
+
+def test_a_point_still_outside_after_one_reflection_folds_on(monkeypatch):
+    # plant stored points still outside on one class of a hand-built A2 at
+    # k = 5: each goes on through affine_fold, and adds the negated sign of
+    # its fold, times its multiplicity, at the folded weight
+    rs = RootSystem(build("A2").algebra)
+    mu = affinize(rs, (1, 1), 5)
+    base = kac_walton_fusion(rs, mu)
+    _, clip, classes, walls = oracle._adjoint_weights(rs)
+    key = tuple(min(m, clip) for m in mu.labels)
+    inside, outside = classes[key]
+
+    def reflect(x, i):
+        return [a - x[i] * w for a, w in zip(x, walls[i])]
+
+    points = [reflect([4, 2, 2], 1),             # one reflection from mu^ + 1: sign -1, so +1 at (1, 1)
+              reflect(reflect([2, 3, 3], 1), 0),  # two from (2, 2)^ + 1: sign +1, so -1 at (2, 2)
+              reflect([6, 2, 0], 1)]              # one from a wall: folds to 0
+    assert all(min(x) < 0 and 0 not in x for x in points)
+    want = dict(base)
+    for x in points:
+        sign, folded = oracle.affine_fold(rs, x)
+        if sign:
+            nu = tuple(f - 1 for f in folded[1:])
+            want[nu] = want.get(nu, 0) - sign
+    want = {nu: c for nu, c in want.items() if c}
+    assert want == {(0, 3): 1, (3, 0): 1, (0, 0): 1, (1, 1): 3}
+    classes[key] = inside, outside + tuple((tuple(a - 1 - m for a, m in zip(x, mu.labels)), 1) for x in points)
+    calls = _counting_folds(monkeypatch)
+    assert kac_walton_fusion(rs, mu) == want
+    assert calls == points
+    assert kac_walton_fusion(build("A2"), mu) == base
 
 
 def test_class_store_stops_at_its_cap(monkeypatch):
