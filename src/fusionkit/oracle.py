@@ -14,8 +14,12 @@ some x^_i = 0: a reflection fixes it, so its fold ends on a wall and it is
 dropped.  It lies inside if every x^_i >= 1, and adds its multiplicity at mu +
 beta unfolded.  Otherwise it lies outside.  Every x^_i >= 1 where mu^_i >= c =
 max(0, -min beta^_i), 2 (3 for G2), so the class and an outside point's first
-reflection depend only on mu^ clipped at c, and the root system stores both per
-clipped mu^: only a point still outside after it goes on to `affine_fold`.  The
+reflection y^ = x^ - 1 - worst alpha^_i depend only on mu^ clipped at c.  Where
+y^ has no negative label at a clipped position, its outcome is that of every
+mu^ of the class: kept at sign -1 and offset nu - mu = y - mu if min y^ >= 0,
+dropped on a wall if it is -1.  The root system stores per clipped mu^ the net
+signed offsets of the inside and kept points, zeros dropped, and apart the
+records whose outcome needs the labels, which `affine_fold` folds from x^.  The
 tensor product is the same sum at the stable level (theta, mu) + 2, where no
 shifted weight reaches the affine wall.  Nothing here shares logic with the
 rule modules beyond the root-system data and the input checks of `weights`.
@@ -23,7 +27,7 @@ rule modules beyond the root-system data and the input checks of `weights`.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, sub
 
 from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
@@ -68,14 +72,15 @@ def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weigh
     return rs.derived["adjoint_weights"]
 
 
-def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """By mu^ clipped at c, the adjoint weights that shift mu^ inside the alcove and, for those outside, the first
-    reflections (beta^ - worst alpha^_i, multiplicity), each value one shared object; stored under `_CLASS_CAP`."""
+def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """By mu^ clipped at c: the net signed offsets nu - mu that every mu^ of the class shares, as the root
+    system's own label tuples and their multiplicities, then the adjoint records whose outcome needs the
+    labels beyond the clip, or a second reflection; stored under `_CLASS_CAP`."""
     weights, clip, classes, walls = _adjoint_weights(rs)
     clipped = tuple([m if m < clip else clip for m in labels])
     found = classes.get(clipped)
     if found is None:
-        inside, outside, reflected = [], [], rs.derived.setdefault("first_reflections", {})
+        inside, kept, rest = [], [], []
         for weight in weights:
             x = [m + 1 + b for m, b in zip(clipped, weight[0])]
             if 0 not in x:
@@ -83,9 +88,18 @@ def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tup
                 if worst > 0:
                     inside.append(weight)
                 else:
-                    first = tuple([b - worst * a for b, a in zip(weight[0], walls[x.index(worst)])]), weight[2]
-                    outside.append(reflected.setdefault(first, first))
-        found = tuple(inside), tuple(outside)
+                    y = [a - 1 - worst * w for a, w in zip(x, walls[x.index(worst)])]  # at sign -1
+                    low = min(y)
+                    if low >= 0:
+                        kept.append((tuple(map(sub, y[1:], clipped[1:])), weight[2]))
+                    elif low < -1 or any(v < 0 for v, m in zip(y, clipped) if m == clip):
+                        rest.append(weight)  # else on a wall for every mu^ of the class
+        net = {beta: times for _, beta, times in inside}
+        for off, times in kept:  # lands on an inside beta, whose tuple stays the key, or nets < 0 below
+            net[off] = net.get(off, 0) - times
+        found = tuple([beta for beta, m in net.items() if m]), tuple([m for m in net.values() if m]), tuple(rest)
+        if not rest and min(found[1], default=0) < 0:
+            raise RuntimeError(f"{rs.algebra}: labels clipped to {clipped} fold to multiplicity {min(found[1])}")
         if len(classes) < _CLASS_CAP:
             classes[clipped] = found
     return found
@@ -94,21 +108,16 @@ def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tup
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
-    inside, outside = _sorted_weights(rs, mu.labels)
-    finite, labels = mu.finite, mu.labels
-    # distinct weights, each added unfolded at mu + beta
-    acc = {tuple(map(add, finite, beta)): times for _, beta, times in inside}
-    for first, times in outside:
-        y = tuple(map(add, labels, first))  # nu^ = x^ - 1 after one reflection, so at sign -1
-        low = min(y)
-        if low >= 0:
-            nu = y[1:]
-            acc[nu] = acc.get(nu, 0) - times
-        elif low < -1:  # still outside, so fold on; at -1 it lies on a wall
-            sign, folded = affine_fold(rs, [v + 1 for v in y])
-            if sign:
-                nu = tuple([f - 1 for f in folded[1:]])
-                acc[nu] = acc.get(nu, 0) - sign * times
+    offsets, times, rest = _sorted_weights(rs, mu.labels)
+    finite = mu.finite
+    acc = {tuple(map(add, finite, off)): m for off, m in zip(offsets, times)}  # distinct offsets, distinct weights
+    if not rest:
+        return acc
+    for hat, _, m in rest:
+        sign, folded = affine_fold(rs, [a + 1 + b for a, b in zip(mu.labels, hat)])
+        if sign:
+            nu = tuple([f - 1 for f in folded[1:]])
+            acc[nu] = acc.get(nu, 0) + sign * m
     for nu, c in acc.items():
         if c < 0:
             raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {mu.level}")

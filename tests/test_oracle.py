@@ -1,6 +1,8 @@
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import islice, product
 from operator import mul
 from pathlib import Path
 
@@ -230,73 +232,73 @@ def _sorting_grid():
 
 
 def _outside_records(rs, mu):
-    """The adjoint records whose point x^ = mu^ + 1 + beta^ lies outside, in store order, each with x^."""
+    """The adjoint records whose point x^ = mu^ + 1 + beta^ lies outside, in record order, each with x^."""
     weights = oracle._adjoint_weights(rs)[0]
     points = ([m + 1 + b for m, b in zip(mu.labels, weight[0])] for weight in weights)
     return [(weight, x) for weight, x in zip(weights, points) if min(x) < 0 and 0 not in x]
 
 
+def _shared_offsets(rs):
+    """The ids of the root system's own label tuples: one per root, and the zero weight's record."""
+    return {id(b.labels) for b in rs.roots} | {id(oracle._adjoint_weights(rs)[0][-1][1])}
+
+
 def test_sorting_classes_fold_as_claimed():
-    # dropped weights fold to 0, inside ones stay put, and each outside one is
-    # stored as its first reflection on this mu^: x^ - worst alpha^_i, at the
-    # first least label i, which flips label i and keeps the level sum and the
-    # fold up to sign; the three classes cover all |roots| + r weights
+    # each class's net terms are the tuple fold of every adjoint weight,
+    # summed at nu - mu with the reflection signs, zeros dropped: on labels far
+    # above the clip too, so the settled outcomes hold across the class; each
+    # point folds from x^ in affine labels as the tuple fold does, staying put
+    # inside and dropped on a wall; every offset is one of the root system's
+    # own beta tuples, every multiplicity a positive int at most the rank, and
+    # no input of the grid needs the labels beyond the clip
     checked, systems = 0, set()
     for rs, mu in _sorting_grid():
-        weights, clip, _, walls = oracle._adjoint_weights(rs)
-        inside, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
+        weights, clip, _, _ = oracle._adjoint_weights(rs)
+        offsets, times, rest = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
         if rs not in systems:
             assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
             systems.add(rs)
-        inside_ids = {id(w) for w in inside}
-        assert len(inside_ids) == len(inside)
-        records = _outside_records(rs, mu)
-        assert len(outside) == len(records)
-        covered = sum(times for (_, times) in outside)
-        for (first, times), (weight, x_hat) in zip(outside, records):
-            worst = min(x_hat)
-            i = x_hat.index(worst)
-            step = [a - worst * w for a, w in zip(x_hat, walls[i])]
-            assert [m + 1 + f for m, f in zip(mu.labels, first)] == step and times == weight[2], (rs.algebra, mu, weight)
-            assert step[i] == -worst
-            assert sum(map(mul, rs.affine_comarks, step)) == mu.level + rs.dual_coxeter
-            sign, folded = oracle.affine_fold(rs, x_hat)
-            assert oracle.affine_fold(rs, step) == (-sign, folded), (rs.algebra, mu, weight)
-        outside_ids = {id(weight) for weight, _ in records}
-        for weight in weights:
-            x = [m + 1 + b for m, b in zip(mu.finite, weight[1])]
-            hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x)] + x
-            sign, folded = oracle.affine_fold(rs, list(hat))
-            if id(weight) in inside_ids:
-                assert min(hat) >= 1 and (sign, folded) == (1, hat), (rs.algebra, mu, weight)
-                covered += weight[2]
-            elif id(weight) in outside_ids:
-                assert 0 not in hat and min(hat) < 0, (rs.algebra, mu, weight)
-            else:
-                assert 0 in hat and sign == 0, (rs.algebra, mu, weight)
-                covered += weight[2]
-        assert covered == len(rs.roots) + rs.rank
+        want = {}
+        for _, beta, multiplicity in weights:
+            x = tuple(m + 1 + b for m, b in zip(mu.finite, beta))
+            hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x), *x]
+            sign, folded = reference_fold(rs, x, mu.level)
+            affine = oracle.affine_fold(rs, list(hat))
+            assert (affine[0], affine[1] and tuple(affine[1][1:])) == (sign, folded), (rs.algebra, mu, beta)
+            if min(hat) >= 1:
+                assert affine == (1, hat), (rs.algebra, mu, beta)
+            elif 0 in hat:
+                assert sign == 0, (rs.algebra, mu, beta)
+            if sign:
+                offset = tuple(f - 1 - m for f, m in zip(folded, mu.finite))
+                want[offset] = want.get(offset, 0) + sign * multiplicity
+        assert dict(zip(offsets, times)) == {nu: c for nu, c in want.items() if c}, (rs.algebra, mu)
+        assert len(offsets) == len(times) and rest == (), (rs.algebra, mu)
+        assert {id(off) for off in offsets} <= _shared_offsets(rs), (rs.algebra, mu)
+        assert all(type(m) is int and 0 < m <= rs.rank for m in times), (rs.algebra, mu)
         checked += 1
     assert checked == 2505 + 20 * len(algebras_up_to(4)) + 31
 
 
 def test_affine_fold_matches_the_reference_point_by_point():
-    # every outside point folds in affine labels, from its stored first
-    # reflection at the opposite sign, to the sign and finite point of the
-    # finite-coordinate fold, and keeps the level sum k + h^v
+    # every outside point folds in affine labels, from x^, to the sign and
+    # finite point of the finite-coordinate fold, and keeps the level sum
+    # k + h^v; its first reflection, at the first least label i, flips label i,
+    # keeps the level sum and folds to the same point at the opposite sign
     e8 = build("E8")
     checked = kept = 0
     for rs, mu in [*_sorting_grid(), *((e8, mu) for mu in enumerate_level(e8, 4))]:
-        _, clip, _, _ = oracle._adjoint_weights(rs)
-        _, outside = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
-        records = _outside_records(rs, mu)
-        assert len(outside) == len(records)
-        for (first, _), ((_, beta, _), x_hat) in zip(outside, records):
-            sign, folded = oracle.affine_fold(rs, [m + 1 + f for m, f in zip(mu.labels, first)])
-            sign = -sign
+        walls = oracle._adjoint_weights(rs)[3]
+        for (_, beta, _), x_hat in _outside_records(rs, mu):
+            sign, folded = oracle.affine_fold(rs, list(x_hat))
             want = reference_fold(rs, tuple(m + 1 + b for m, b in zip(mu.finite, beta)), mu.level)
             assert (sign, folded and tuple(folded[1:])) == want, (rs.algebra, mu, beta)
-            assert (sign, folded) == oracle.affine_fold(rs, x_hat), (rs.algebra, mu, beta)
+            worst = min(x_hat)
+            i = x_hat.index(worst)
+            step = [a - worst * w for a, w in zip(x_hat, walls[i])]
+            assert step[i] == -worst
+            assert sum(map(mul, rs.affine_comarks, step)) == mu.level + rs.dual_coxeter
+            assert oracle.affine_fold(rs, step) == (-sign, folded), (rs.algebra, mu, beta)
             if sign:
                 assert sum(map(mul, rs.affine_comarks, folded)) == mu.level + rs.dual_coxeter
                 kept += 1
@@ -305,33 +307,38 @@ def test_affine_fold_matches_the_reference_point_by_point():
 
 
 def test_sorting_cache_is_bounded_and_shares_the_records():
-    # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of them,
-    # each a pair: a tuple of the root system's own inside records, and a tuple
-    # of first reflections drawn from one store per root system, which holds at
-    # most one per (root, least label i, worst) in |roots| (r + 1) (c - 1)
+    # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of
+    # them, each a triple: the net offsets, drawn from the root system's own
+    # beta tuples, their multiplicities, and an empty rest; equal outcomes
+    # merge, so the classes hold fewer terms than their non-wall points; the
+    # root system keeps no other oracle slot.  For A, D and E the outside
+    # points (theta at mu^_0 = 0, -alpha_i at mu^_i = 0) reflect once back to
+    # mu^ + 1: each settles, kept at offset 0
     systems = [build(algebra) for algebra in algebras_up_to(4)]
     for rs in systems:
         rs.derived.clear()
     assert run_verify(4, 7).ok
     for rs in systems:
-        weights, clip, classes, _ = oracle._adjoint_weights(rs)
-        reflected = rs.derived["first_reflections"]
+        weights, clip, classes, walls = oracle._adjoint_weights(rs)
+        assert set(rs.derived) - {"off_diagonal", "vacuum_counts"} == {"adjoint_weights"}, rs.algebra
         keys = {tuple(min(m, clip) for m in mu.labels) for k in range(2, 8) for mu in enumerate_level(rs, k)}
         assert len(keys) <= (clip + 1) ** (rs.rank + 1)
         assert set(classes) == keys, rs.algebra
-        assert len(reflected) <= len(rs.roots) * (rs.rank + 1) * (clip - 1), rs.algebra
-        if rs.algebra.family in "ADE":
-            # only theta at mu^_0 = 0 and -alpha_i at mu^_i = 0 lie outside, and
-            # each reflects back to mu^ + 1
-            assert list(reflected) == [((0,) * (rs.rank + 1), 1)], rs.algebra
-        records, stored = {id(w) for w in weights}, 0
+        shared, stored, points = _shared_offsets(rs), 0, 0
         for key in keys:
-            inside, outside = sorted_classes = oracle._sorted_weights(rs, key)
-            assert sorted_classes is classes[key]
-            assert {id(w) for w in inside} <= records
-            assert all(reflected[first] is first for first in outside)
-            stored += len(outside)
-        assert set(classes) == keys and len(reflected) < stored, rs.algebra
+            offsets, times, rest = sorted_class = oracle._sorted_weights(rs, key)
+            assert sorted_class is classes[key] and rest == ()
+            assert {id(off) for off in offsets} <= shared and len(times) == len(offsets)
+            stored += len(offsets)
+            hats = [[m + 1 + b for m, b in zip(key, hat)] for hat, _, _ in weights]
+            points += sum(1 for x in hats if 0 not in x)
+            if rs.algebra.family in "ADE":
+                for x in hats:
+                    if 0 not in x and min(x) < 0:
+                        worst = min(x)
+                        step = [a - worst * w for a, w in zip(x, walls[x.index(worst)])]
+                        assert step == [m + 1 for m in key], (rs.algebra, key, x)
+        assert stored < points, rs.algebra
 
 
 @pytest.mark.parametrize("algebra", [*algebras_up_to(6), parse_algebra("E7"), parse_algebra("E8")], ids=str)
@@ -370,8 +377,8 @@ def _counting_folds(monkeypatch):
 
 
 def test_real_inputs_need_one_reflection(monkeypatch):
-    # every outside point of the identity grid and of E8 at k = 4 leaves the
-    # outside after its stored first reflection, so no fold goes on
+    # every outside point of the identity grid and of E8 at k = 4 settles with
+    # one reflection, so no class keeps a rest and no fold runs
     calls = _counting_folds(monkeypatch)
     e8, fused = build("E8"), 0
     for rs, mu in [*((rs, mu) for rs, level in _identity_grid() for mu in enumerate_level(rs, level)),
@@ -382,36 +389,61 @@ def test_real_inputs_need_one_reflection(monkeypatch):
 
 
 def test_a_point_still_outside_after_one_reflection_folds_on(monkeypatch):
-    # plant stored points still outside on one class of a hand-built A2 at
-    # k = 5: each goes on through affine_fold, and adds the negated sign of
-    # its fold, times its multiplicity, at the folded weight
+    # plant records in the rest of one class of a hand-built A2 at k = 5:
+    # each is folded from its point x^ = mu^ + 1 + beta^ by affine_fold, adds
+    # the sign of its fold, times its multiplicity, at the folded weight, and
+    # a weight netting 0 is dropped; a fold that leaves a multiplicity below 0
+    # is refused
     rs = RootSystem(build("A2").algebra)
     mu = affinize(rs, (1, 1), 5)
     base = kac_walton_fusion(rs, mu)
     _, clip, classes, walls = oracle._adjoint_weights(rs)
     key = tuple(min(m, clip) for m in mu.labels)
-    inside, outside = classes[key]
+    offsets, times, rest = classes[key]
+    assert rest == ()
 
     def reflect(x, i):
         return [a - x[i] * w for a, w in zip(x, walls[i])]
 
-    points = [reflect([4, 2, 2], 1),             # one reflection from mu^ + 1: sign -1, so +1 at (1, 1)
-              reflect(reflect([2, 3, 3], 1), 0),  # two from (2, 2)^ + 1: sign +1, so -1 at (2, 2)
-              reflect([6, 2, 0], 1)]              # one from a wall: folds to 0
+    def record(x, multiplicity):
+        return tuple(a - 1 - m for a, m in zip(x, mu.labels)), None, multiplicity
+
+    planted = [(reflect([4, 2, 2], 1), 2),             # one reflection from mu^ + 1: sign -1, so -2 at (1, 1)
+               (reflect(reflect([2, 3, 3], 1), 0), 1),  # two from (2, 2)^ + 1: sign +1, so +1 at (2, 2)
+               (reflect([6, 2, 0], 1), 1)]              # one from a wall: folds to 0
+    points = [x for x, _ in planted]
     assert all(min(x) < 0 and 0 not in x for x in points)
     want = dict(base)
-    for x in points:
+    for x, multiplicity in planted:
         sign, folded = oracle.affine_fold(rs, x)
         if sign:
             nu = tuple(f - 1 for f in folded[1:])
-            want[nu] = want.get(nu, 0) - sign
+            want[nu] = want.get(nu, 0) + sign * multiplicity
     want = {nu: c for nu, c in want.items() if c}
-    assert want == {(0, 3): 1, (3, 0): 1, (0, 0): 1, (1, 1): 3}
-    classes[key] = inside, outside + tuple((tuple(a - 1 - m for a, m in zip(x, mu.labels)), 1) for x in points)
+    assert want == {(0, 3): 1, (3, 0): 1, (0, 0): 1, (2, 2): 2}
+    classes[key] = offsets, times, tuple(record(x, multiplicity) for x, multiplicity in planted)
     calls = _counting_folds(monkeypatch)
     assert kac_walton_fusion(rs, mu) == want
     assert calls == points
+    negative = reflect([1, 1, 6], 1)  # one reflection from (0, 5)^ + 1: -1 at (0, 5), where mu has none
+    classes[key] = offsets, times, (record(negative, 1),)
+    with pytest.raises(RuntimeError, match=r"^theta x \(5; 1,1\) folded to \(0, 5\) with multiplicity -1 at level 5$"):
+        kac_walton_fusion(rs, mu)
     assert kac_walton_fusion(build("A2"), mu) == base
+
+
+def test_a_class_that_nets_below_zero_is_refused():
+    # a hand-built A2 whose zero weight counts once, not r = 2 times: mu = 0
+    # nets -1 at offset 0, as the two outside points -alpha_i reflect back to
+    # mu^ + 1, and the class is refused where it is built
+    rs = RootSystem(build("A2").algebra)
+    weights, clip, classes, walls = oracle._adjoint_weights(rs)
+    hat, zero, times = weights[-1]
+    assert (zero, times) == ((0, 0), 2)
+    rs.derived["adjoint_weights"] = weights[:-1] + ((hat, zero, 1),), clip, classes, walls
+    with pytest.raises(RuntimeError, match=r"^A2: labels clipped to \(2, 0, 0\) fold to multiplicity -1$"):
+        kac_walton_fusion(rs, affinize(rs, (0, 0), 3))
+    assert classes == {}
 
 
 def test_class_store_stops_at_its_cap(monkeypatch):
@@ -428,6 +460,32 @@ def test_class_store_stops_at_its_cap(monkeypatch):
             _, clip, classes, _ = oracle._adjoint_weights(rs)
         assert len(classes) == 5
         assert len({tuple(min(m, clip) for m in mu.labels) for mu in grid}) > 5
+
+
+def test_the_real_cap_leaves_a_class_unstored():
+    # A9's box {0..2}^10 holds 3^10 classes: fill the real cap, 3^9, with the
+    # box classes of level >= 2, tracing the last 3^6 of them, which the store
+    # takes without a resize; the next class fuses as the tuple fold does and
+    # is not stored
+    rs = RootSystem(parse_algebra("A9"))
+    _, clip, classes, _ = oracle._adjoint_weights(rs)
+    box = (v for v in product(range(clip + 1), repeat=rs.rank + 1) if sum(map(mul, rs.affine_comarks, v)) >= 2)
+    for v in islice(box, oracle._CLASS_CAP - 3 ** 6):
+        oracle._sorted_weights(rs, v)
+    tracemalloc.start()
+    try:
+        for v in islice(box, 3 ** 6):
+            oracle._sorted_weights(rs, v)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    size = f"{traced} B by tracemalloc for the last 3^6 classes, {traced // 3 ** 6} B a class"
+    assert len(classes) == oracle._CLASS_CAP == 3 ** 9, size
+    assert traced // 3 ** 6 <= 1500, size
+    v = next(box)
+    mu = AffineWeight(sum(map(mul, rs.affine_comarks, v)), v)
+    assert kac_walton_fusion(rs, mu) == reference_fusion(rs, mu), size
+    assert len(classes) == 3 ** 9 and v not in classes, size
 
 
 _RULE_NAMES = {"rule_table", "sparse_rule_rows", "string_depth", "depth_weight", "_depths", "depth", "nontrivial_conditions",
