@@ -18,9 +18,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, floordiv, mod, mul, sub
 
 from .errors import AlgebraMismatch, InvalidRank, NotARoot
 
@@ -94,16 +93,17 @@ def parse_algebra(text: str) -> AlgebraId:
     return AlgebraId(text[0].upper(), rank)
 
 
-def _dynkin(algebra: AlgebraId) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """The Cartan matrix and the symmetrizer, from one record of the Dynkin diagram.
+def _dynkin(algebra: AlgebraId) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The Cartan matrix and each node's comark divisor, from one record of the Dynkin diagram.
 
     The record is the simple edges, each setting ``A[i][j] = A[j][i] = -1``,
     and for B, C, F and G the one multiple bond ``(i, j, m)`` from the long
-    node i to the short node j, which sets ``A[i][j] = -m``.  The symmetrizer
-    d makes ``A[i][j] d_j = (alpha_i, alpha_j)`` symmetric, with d = 1 on the
-    long roots.  The four non-simply-laced diagrams are chains, so the short
-    simple roots are the nodes on j's side of the multiple bond, each with
-    d = 1/m.
+    node i to the short node j, which sets ``A[i][j] = -m``.  With long roots
+    of length 2, the comark of node i is a_i^vee = c_i(theta) (alpha_i,
+    alpha_i) / 2, and (alpha_i, alpha_i) = 2 / m on a short node: the four
+    non-simply-laced diagrams are chains, so the short simple roots are the
+    nodes on j's side of the multiple bond, each with divisor m, and every
+    other node has divisor 1.
     """
     f, r = algebra.family, algebra.rank
     edges = [(i, i + 1) for i in range(r - 1)]
@@ -115,14 +115,14 @@ def _dynkin(algebra: AlgebraId) -> tuple[tuple[tuple[int, ...], ...], tuple[Frac
     a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
     for i, j in edges:
         a[i][j] = a[j][i] = -1
-    d = [Fraction(1)] * r
+    divisors = [1] * r
     multiple = {"B": (r - 2, r - 1, 2), "C": (r - 1, r - 2, 2), "F": (1, 2, 2), "G": (0, 1, 3)}.get(f)
     if multiple:
         i, j, m = multiple
         a[i][j] = -m
         for s in range(j, r) if j > i else range(j + 1):
-            d[s] = Fraction(1, m)
-    return tuple(map(tuple, a)), tuple(d)
+            divisors[s] = m
+    return tuple(map(tuple, a)), tuple(divisors)
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -190,7 +190,7 @@ class RootSystem:
         self.algebra = algebra
         self.derived: dict = {}
         self.rank = algebra.rank
-        self.cartan, self.symmetrizer = _dynkin(algebra)
+        self.cartan, divisors = _dynkin(algebra)
 
         found = _positive_roots(self.cartan)
         self.positive_roots = tuple(Root(c, labels, tuple(map(sub, below, labels)))
@@ -203,10 +203,9 @@ class RootSystem:
         if sum(1 for b in self.positive_roots if b.height == top.height) != 1:
             raise RuntimeError(f"{algebra}: highest root is not unique")
         self.highest_root = top
-        comarks = tuple(self.symmetrizer[i] * top.coords[i] for i in range(self.rank))
-        if any(c.denominator != 1 for c in comarks):
-            raise RuntimeError(f"{algebra}: comarks {comarks} are not integers")
-        self.comarks = tuple(int(c) for c in comarks)
+        if any(map(mod, top.coords, divisors)):
+            raise RuntimeError(f"{algebra}: comarks {top.coords} over {divisors} are not integers")
+        self.comarks = tuple(map(floordiv, top.coords, divisors))
         self.affine_comarks = (1,) + self.comarks
         self.dual_coxeter = 1 + sum(self.comarks)
         # (theta, theta) = sum_i a_i^vee theta_i

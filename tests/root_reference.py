@@ -12,7 +12,8 @@ over the positive roots of a built `RootSystem`.
 The Cartan matrix and the symmetrizer are built here a second way: the
 diagram as a list of bonds (i, j, A_ij, A_ji), and the symmetrizer by a walk
 over the finished matrix, as a cross-check of the one diagram record in
-`fusionkit.algebra`.
+`fusionkit.algebra`, which keeps no symmetrizer: only the integer comarks it
+gives.  The forms below read this symmetrizer, never the package's record.
 
 It also holds the inner product, the root look-ups, the string heights and
 the plain and shifted reflections that only the tests need, as functions of
@@ -85,6 +86,12 @@ def symmetrizer_by_walk(cartan):
     return tuple(x / top for x in d)
 
 
+@lru_cache(maxsize=None)
+def symmetrizer(algebra):
+    """The symmetrizer of the algebra's bond list, by the walk."""
+    return symmetrizer_by_walk(cartan_matrix(algebra))
+
+
 def roots_by_closure(cartan):
     """All roots, generated by reflecting the simple roots."""
     r = len(cartan)
@@ -142,11 +149,11 @@ def invert(matrix):
     return [row[n:] for row in aug]
 
 
-def quadratic_form(cartan, symmetrizer):
-    """(omega_i, omega_j) = d_i (A^-1)_ji."""
+def quadratic_form(cartan, d):
+    """(omega_i, omega_j) = d_i (A^-1)_ji, for the symmetrizer d."""
     inv = invert(cartan)
     r = len(cartan)
-    return tuple(tuple(symmetrizer[i] * inv[j][i] for j in range(r)) for i in range(r))
+    return tuple(tuple(d[i] * inv[j][i] for j in range(r)) for i in range(r))
 
 
 def killing_quadratic_form(rs):
@@ -155,7 +162,7 @@ def killing_quadratic_form(rs):
     (omega_i, beta) = d_i c_i(beta), and sum_{beta > 0} (lambda, beta) (mu, beta)
     = h^vee (lambda, mu), so F_ij = d_i d_j sum_{beta > 0} c_i(beta) c_j(beta) / h^vee.
     """
-    d, r = rs.symmetrizer, rs.rank
+    d, r = symmetrizer(rs.algebra), rs.rank
     return tuple(
         tuple(d[i] * d[j] * sum(b.coords[i] * b.coords[j] for b in rs.positive_roots) / rs.dual_coxeter
               for j in range(r))
@@ -165,7 +172,7 @@ def killing_quadratic_form(rs):
 
 def inner_product(rs, lam, mu):
     """(lambda, mu) for weights of rs given by Dynkin labels."""
-    form = quadratic_form(rs.cartan, rs.symmetrizer)
+    form = quadratic_form(rs.cartan, symmetrizer(rs.algebra))
     return sum(lam[i] * form[i][j] * mu[j] for i in range(rs.rank) for j in range(rs.rank))
 
 

@@ -28,7 +28,7 @@ from root_reference import (
     shifted_reflect,
     string_depth,
     string_height,
-    symmetrizer_by_walk,
+    symmetrizer,
 )
 
 
@@ -69,25 +69,28 @@ def test_cartan_matrices():
 
 
 def test_symmetrizer_long_roots_normalised_to_one():
-    assert build("G2").symmetrizer == (Fraction(1), Fraction(1, 3))
-    assert build("F4").symmetrizer == (1, 1, Fraction(1, 2), Fraction(1, 2))
-    assert build("B4").symmetrizer == (1, 1, 1, Fraction(1, 2))
-    assert build("C4").symmetrizer == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1)
+    # the reference's walk over its bond list; the package keeps no symmetrizer
+    assert symmetrizer(parse_algebra("G2")) == (Fraction(1), Fraction(1, 3))
+    assert symmetrizer(parse_algebra("F4")) == (1, 1, Fraction(1, 2), Fraction(1, 2))
+    assert symmetrizer(parse_algebra("B4")) == (1, 1, 1, Fraction(1, 2))
+    assert symmetrizer(parse_algebra("C4")) == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1)
     for name in ("A5", "D5", "E6"):
-        assert all(d == 1 for d in build(name).symmetrizer)
+        assert all(d == 1 for d in symmetrizer(parse_algebra(name)))
 
 
 @pytest.mark.parametrize("algebra", algebras_up_to(40), ids=str)
 def test_diagram_record_matches_bond_list(algebra):
-    # the one diagram record against the bond list and the walk over the
-    # finished matrix; built uncached, so the rank-40 roots are not kept
+    # the one diagram record against the bond list, and its integer comarks
+    # against theta's coordinates times the walk's symmetrizer; built uncached,
+    # so the rank-40 roots are not kept
     rs = RootSystem(algebra)
-    a, d = rs.cartan, rs.symmetrizer
+    a, d = rs.cartan, symmetrizer(algebra)
     assert a == cartan_matrix(algebra)
-    assert d == symmetrizer_by_walk(a)
     r = algebra.rank
     assert all(a[i][j] * d[j] == a[j][i] * d[i] for i in range(r) for j in range(r))
     assert max(d) == 1
+    assert rs.comarks == tuple(d[i] * rs.highest_root.coords[i] for i in range(r))
+    assert all(type(c) is int for c in rs.comarks + rs.affine_comarks + (rs.dual_coxeter,))
 
 
 def test_quadratic_form_values():
@@ -120,7 +123,7 @@ def test_roots_match_closure_reference(name):
     # closure and a window scan of each alpha_i-string; the Killing-identity
     # quadratic form against the inverse Cartan matrix
     rs = build(name)
-    assert killing_quadratic_form(rs) == quadratic_form(rs.cartan, rs.symmetrizer)
+    assert killing_quadratic_form(rs) == quadratic_form(rs.cartan, symmetrizer(rs.algebra))
     closure = roots_by_closure(rs.cartan)
     assert [b.coords for b in rs.positive_roots] == sorted(c for c in closure if min(c) >= 0)
     assert {b.coords for b in rs.roots} == closure

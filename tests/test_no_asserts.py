@@ -68,24 +68,36 @@ def test_a_remainder_left_by_exact_raises_under_python_and_optimize():
         assert proc.stdout.splitlines() == ["2", "halves at level 3 is 3/2, not an integer"]
 
 
-def test_theta_guard_raises_under_optimize():
-    # B3 has theta = (0, 1, 0) = 1 a_1 + 2 a_2 + 2 a_3; a symmetrizer of
-    # (1, 1/2, 1/2) gives the integral comarks (1, 1, 1), so the pairing gives
-    # (theta, theta) = 1, which the construction must refuse
-    code = (
-        "from fractions import Fraction\n"
+def _b3_with_divisors(divisors):
+    """A child's script: build B3 with these comark divisors planted in its diagram record."""
+    return (
         "from fusionkit import algebra\n"
         "dynkin = algebra._dynkin\n"
-        "algebra._dynkin = lambda a: (dynkin(a)[0], (1, Fraction(1, 2), Fraction(1, 2)))\n"
+        f"algebra._dynkin = lambda a: (dynkin(a)[0], {divisors!r})\n"
         "try:\n"
         "    algebra.RootSystem(algebra.AlgebraId('B', 3))\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+
+
+def test_theta_guard_raises_under_optimize():
+    # B3 has theta = (0, 1, 0) = 1 a_1 + 2 a_2 + 2 a_3; the divisors (1, 2, 2)
+    # give the integral comarks (1, 1, 1), so the pairing gives
+    # (theta, theta) = 1, which the construction must refuse
+    proc = subprocess.run([sys.executable, "-O", "-c", _b3_with_divisors((1, 2, 2))], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "B3: highest root does not have length 2"
+
+
+def test_comark_guard_raises_under_python_and_optimize():
+    # a divisor 3 on B3's short node does not divide theta's coordinate 2
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _b3_with_divisors((1, 1, 3))], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "B3: comarks (1, 2, 2) over (1, 1, 3) are not integers"
 
 
 _BROKEN_LEVEL = (

@@ -29,14 +29,15 @@ from fusionkit.weights import stable_level
 from oracle_reference import adjoint_weight_system, finite_fold, racah_speiser_finite
 from oracle_reference import affine_fold as reference_fold
 from oracle_reference import kac_walton_fusion as reference_fusion
+from root_reference import symmetrizer
 
 
 def weyl_dimension(rs, lam):
     """Product over positive roots of (lam + rho, beta) / (rho, beta)."""
-    total = Fraction(1)
+    d, total = symmetrizer(rs.algebra), Fraction(1)
     for beta in rs.positive_roots:
-        num = sum((lam[j] + 1) * beta.coords[j] * rs.symmetrizer[j] for j in range(rs.rank))
-        den = sum(beta.coords[j] * rs.symmetrizer[j] for j in range(rs.rank))
+        num = sum((lam[j] + 1) * beta.coords[j] * d[j] for j in range(rs.rank))
+        den = sum(beta.coords[j] * d[j] for j in range(rs.rank))
         total *= Fraction(num) / Fraction(den)
     assert total.denominator == 1
     return int(total)

@@ -2,11 +2,12 @@
 fresh interpreter with this one's -O setting and lists the modules that
 `import fusionkit`, and then the command, added to `sys.modules`: the package
 alone loads no submodule, `fuse` and `tadpole` load no table, no sweep, no
-`dataclasses` and no `json`, and each loads no route it does not run.  No
-module of the package imports `dataclasses` or `typing`, or `json` at module
-level: that is read from the source, as a site hook may load them before the
-package.  The parser's choices are literals, so they are pinned here to the
-modules the parser no longer loads."""
+`dataclasses` and no `json`, and each loads no route it does not run; `fuse`
+reads integers only, so it loads no `fractions` (nor its `decimal` and
+`numbers`).  No module of the package imports `dataclasses` or `typing`, or
+`json` at module level: that is read from the source, as a site hook may load
+them before the package.  The parser's choices are literals, so they are
+pinned here to the modules the parser no longer loads."""
 
 import argparse
 import ast
@@ -56,7 +57,7 @@ def test_importing_the_package_loads_no_submodule():
 def test_fuse_loads_only_its_route(method, other):
     code, modules = _loaded("fuse", "G2", "--weight", "1,0", "--level", "3", "--method", method)
     assert code == 0
-    assert modules & (NEVER | {"fusionkit.tadpole", other}) == set()
+    assert modules & (NEVER | {"fusionkit.tadpole", other, "fractions", "decimal", "numbers"}) == set()
 
 
 def test_tadpole_loads_no_table_no_sweep_and_no_oracle():
