@@ -11,13 +11,17 @@ with multiplicities that never exceed the rank:
   root system handed in.  `rule_table` is the one builder of the rule: the
   tables read its rows, and `decompose` reads a record built from them on
   first use and stored in the root system's `derived` slot, like the oracle's.
-  For each label it ANDs, clipped at c (the largest threshold), the bitset of
-  the rows it passes; the set bits are the passing rows, in root order.  The
-  finite thresholds are the root-string depths d_i(beta), never below the
-  bound max(0, -beta_i) that dominance of mu and nu already forces, so only
-  the few (beta, i) with depth exceeding that bound decide anything beyond
-  dominance; those are the "nontrivial conditions" that `tables` reads off the
-  same rows, with the paper's other worked tables.
+  Every threshold is <= c, the largest, so mu-hat passes a row exactly when
+  mu-hat clipped at c does: the record stores, per clipped mu-hat, the label
+  tuples of the passing roots in root order, and `decompose` adds mu to each.
+  A class is settled on its first weight, by ANDing for each clipped label the
+  bitset of the rows it passes, and kept while the store holds fewer than
+  `_CLASS_CAP` classes (E8's whole box).  The finite thresholds are the
+  root-string depths d_i(beta), never below the bound max(0, -beta_i) that
+  dominance of mu and nu already forces, so only the few (beta, i) with depth
+  exceeding that bound decide anything beyond dominance; those are the
+  "nontrivial conditions" that `tables` reads off the same rows, with the
+  paper's other worked tables.
 
 The tensor product, `decompose_tensor`, is `decompose` at the stable level
 (theta, mu) + 2: there the zeroth label is >= 2, so it drops no weight and
@@ -34,6 +38,8 @@ from operator import add
 
 from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
+
+_CLASS_CAP = 3 ** 9  # E8's whole box {0..2}^9, as the oracle's cap, but the rules' own
 
 
 class FusionDecomposition(namedtuple("FusionDecomposition", "entries")):
@@ -60,7 +66,7 @@ def rule_table(rs: RootSystem) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
 def diag_fusion(rs: RootSystem, mu: AffineWeight) -> int:
     """Multiplicity of mu in the level-k fusion theta (x) mu; needs k >= 2."""
     _check_affine(rs, mu)
-    return sum(1 for x in mu.labels if x) - 1
+    return len(mu.labels) - mu.labels.count(0) - 1
 
 
 def decompose_tensor(rs: RootSystem, mu: Weight) -> FusionDecomposition:
@@ -75,7 +81,8 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
     finite = mu.finite
     if d:
         entries[finite] = d
-    if "off_diagonal" not in rs.derived:
+    record = rs.derived.get("off_diagonal")
+    if record is None:
         # bit n of passes[i][x], x = 0..c, is set when row n's threshold at label i is <= x
         rows = rule_table(rs)
         clip = max(max(floor) for _, floor in rows)
@@ -84,13 +91,22 @@ def decompose(rs: RootSystem, mu: AffineWeight) -> FusionDecomposition:
             for i, t in enumerate(floor):
                 for x in range(t):
                     passes[i][x] &= ~(1 << n)
-        rs.derived["off_diagonal"] = rows, clip, passes
-    rows, clip, passes = rs.derived["off_diagonal"]
-    bits = -1
-    for x, label in zip(mu.labels, passes):
-        bits &= label[x if x < clip else clip]
-    while bits:  # the set bits from low to high: the passing rows in `rs.roots` order
-        low = bits & -bits
-        entries[tuple(map(add, finite, rows[low.bit_length() - 1][0]))] = 1
-        bits ^= low
+        record = rs.derived["off_diagonal"] = rows, clip, passes, {}
+    rows, clip, passes, classes = record
+    clipped = tuple([x if x < clip else clip for x in mu.labels])
+    betas = classes.get(clipped)
+    if betas is None:
+        bits = -1
+        for x, label in zip(clipped, passes):
+            bits &= label[x]
+        found = []
+        while bits:  # the set bits from low to high: the passing rows in `rs.roots` order
+            low = bits & -bits
+            found.append(rows[low.bit_length() - 1][0])
+            bits ^= low
+        betas = tuple(found)
+        if len(classes) < _CLASS_CAP:
+            classes[clipped] = betas
+    for beta in betas:
+        entries[tuple(map(add, finite, beta))] = 1
     return FusionDecomposition(entries)

@@ -8,10 +8,10 @@ quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
 The classical forms are the paper's sums of falling factorials in J, by
 `math.perm`, each one integer over a factorial fixed once per algebra; the E6
-forms are literal rows of rational coefficients, each run by integer Horner
-over its common denominator.  Every value takes one `divmod`, in `_exact`;
-`tables` holds the B table.  The counting route keeps one array of vacuum
-counts per root system, at most twice the highest level asked and freed with it.
+forms are literal rows of integer numerators over one denominator each, run by
+integer Horner.  Every value takes one `divmod`, in `_exact`; `tables` holds
+the B table.  The counting route keeps one array of vacuum counts per root
+system, at most twice the highest level asked and freed with it.
 `TADPOLES` names each kind's level floor and routes once, and `tadpole_by` runs
 a route by its name; the CLI, `verify` and `tables` read both.
 """
@@ -19,9 +19,8 @@ a route by its name; the CLI, `verify` and `tables` read both.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, lcm, perm
+from math import factorial, perm
 
 from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
@@ -100,7 +99,10 @@ def _exact(numerator: int, denominator: int):
     """numerator / denominator exactly: the int quotient when it divides, else the Fraction,
     which `evaluate_raw` refuses."""
     q, rest = divmod(numerator, denominator)
-    return Fraction(numerator, denominator) if rest else q
+    if rest:
+        from fractions import Fraction  # only a refused remainder loads it
+        return Fraction(numerator, denominator)
+    return q
 
 
 def _horner(coefficients, denominator, x):
@@ -112,30 +114,29 @@ def _horner(coefficients, denominator, x):
 
 
 def _rows(rows):
-    """One branch per literal coefficient row, as integers over the row's lcm denominator."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    denominators = [lcm(*(c.denominator for c in row)) for row in rows]
-    return tuple(partial(_horner, tuple(int(c * d) for c in reversed(row)), d) for row, d in zip(rows, denominators))
+    """One branch per literal row: its denominator and its integer numerators, ascending powers of J."""
+    return tuple(partial(_horner, numerators[::-1], denominator) for denominator, numerators in rows)
 
 
-# E6 branch coefficients (k = 6J + t, rows t = 0..5, ascending powers of J),
-# frozen after matching direct enumeration for k = 0..19.
+# E6 branch coefficients (k = 6J + t, rows t = 0..5): the paper's rational coefficients
+# of J^0..J^6 as integer numerators over each row's lcm denominator, frozen after
+# matching direct enumeration for k = 0..19.
 _E6_ADJOINT = _rows((
-    ("-1", "-14/5", "54/5", "117/2", "189/2", "324/5", "81/5"),
-    ("0", "9", "1191/20", "141", "621/4", "81", "81/5"),
-    ("3", "423/10", "1593/10", "537/2", "459/2", "486/5", "81/5"),
-    ("17", "1241/10", "6741/20", "450", "1269/4", "567/5", "81/5"),
-    ("48", "1392/5", "3099/5", "1389/2", "837/2", "648/5", "81/5"),
-    ("117", "2766/5", "20871/20", "1011", "2133/4", "729/5", "81/5"),
+    (10, (-10, -28, 108, 585, 945, 648, 162)),
+    (20, (0, 180, 1191, 2820, 3105, 1620, 324)),
+    (10, (30, 423, 1593, 2685, 2295, 972, 162)),
+    (20, (340, 2482, 6741, 9000, 6345, 2268, 324)),
+    (10, (480, 2784, 6198, 6945, 4185, 1296, 162)),
+    (20, (2340, 11064, 20871, 20220, 10665, 2916, 324)),
 ))
 
 _E6_ZERO = _rows((
-    ("1", "83/10", "551/20", "45", "153/4", "81/5", "27/10"),
-    ("3", "427/20", "2277/40", "301/4", "423/8", "189/10", "27/10"),
-    ("9", "242/5", "2091/20", "116", "279/4", "108/5", "27/10"),
-    ("20", "1869/20", "6997/40", "675/4", "711/8", "243/10", "27/10"),
-    ("42", "337/2", "5511/20", "235", "441/4", "27", "27/10"),
-    ("78", "5621/20", "16497/40", "1265/4", "1071/8", "297/10", "27/10"),
+    (20, (20, 166, 551, 900, 765, 324, 54)),
+    (40, (120, 854, 2277, 3010, 2115, 756, 108)),
+    (20, (180, 968, 2091, 2320, 1395, 432, 54)),
+    (40, (800, 3738, 6997, 6750, 3555, 972, 108)),
+    (20, (840, 3370, 5511, 4700, 2205, 540, 54)),
+    (40, (3120, 11242, 16497, 12650, 5355, 1188, 108)),
 ))
 
 

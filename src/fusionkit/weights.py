@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from operator import mul
 
 from .algebra import RootSystem, integer
 from .errors import AlgebraMismatch, LevelMismatch, LevelTooSmall
@@ -53,7 +54,7 @@ def _check_affine(rs: RootSystem, mu: AffineWeight) -> None:
         raise AlgebraMismatch(f"affine weight {mu.labels} needs {rs.rank + 1} labels")
     if min(mu.labels) < 0:
         raise ValueError(f"affine weight {mu.labels} is not dominant")
-    if mu.labels[0] + rs.theta_pairing(mu.finite) != mu.level:
+    if sum(map(mul, rs.affine_comarks, mu.labels)) != mu.level:
         raise LevelMismatch(f"affine weight {mu.labels} does not lie at level {mu.level}")
 
 

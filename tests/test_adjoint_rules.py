@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 from operator import add, ge, mul, ne, sub
 
@@ -248,6 +249,91 @@ FULL_ROW_GRIDS = [(algebra, range(2, 7)) for algebra in algebras_up_to(4)] + [
 def test_sparse_rows_decompose_as_full_rows(algebra, levels):
     # same entries in the same insertion order as the full-row loop
     assert _row_mismatches(build(algebra), levels) == []
+
+
+def _store(rs):
+    """The clip c and the per-class store of `decompose` on rs: clipped mu^ -> passing roots' label tuples."""
+    _, clip, _, classes = rs.derived["off_diagonal"]
+    return clip, classes
+
+
+STORE_GRIDS = [("G2", range(2, 8)), ("F4", range(2, 7)), ("E6", range(2, 6)), ("B4", range(2, 7))]
+
+
+@pytest.mark.parametrize("name,levels", STORE_GRIDS, ids=[name for name, _ in STORE_GRIDS])
+def test_the_store_holds_each_swept_class_as_root_labels(name, levels):
+    # after a sweep the store holds exactly the clipped classes swept, each as
+    # the label tuples of `rs.roots` themselves, in root order
+    rs = RootSystem(parse_algebra(name))
+    grid = [mu for level in levels for mu in enumerate_level(rs, level)]
+    for mu in grid:
+        decompose(rs, mu)
+    clip, classes = _store(rs)
+    assert set(classes) == {tuple(min(x, clip) for x in mu.labels) for mu in grid}
+    position = {id(beta.labels): n for n, beta in enumerate(rs.roots)}
+    for betas in classes.values():
+        order = [position[id(beta)] for beta in betas]
+        assert order == sorted(set(order))
+    assert len(classes) < len(grid)
+
+
+@pytest.mark.parametrize("name,levels", STORE_GRIDS, ids=[name for name, _ in STORE_GRIDS])
+def test_an_unstored_class_decomposes_as_a_stored_one(name, levels, monkeypatch):
+    # with the cap at 5 the store stops at 5 classes; every other class, read
+    # twice, gives the entries, in order, of the stored path and the full rows
+    shared = build(name)
+    grid = [mu for level in levels for mu in enumerate_level(shared, level)]
+    reference = RootSystem(shared.algebra)
+    for mu in grid:
+        decompose(reference, mu)
+    stored = [list(decompose(reference, mu).entries.items()) for mu in grid]  # each read from the store
+    monkeypatch.setattr(adjoint_rules, "_CLASS_CAP", 5)
+    rs = RootSystem(shared.algebra)
+    for mu in grid:
+        decompose(rs, mu)
+    clip, classes = _store(rs)
+    assert len(classes) == 5
+    unstored = [(mu, want) for mu, want in zip(grid, stored) if tuple(min(x, clip) for x in mu.labels) not in classes]
+    assert len(unstored) > len(grid) // 2
+    for mu, want in unstored:
+        assert list(decompose(rs, mu).entries.items()) == want == _full_row_entries(shared, mu), mu
+    assert len(classes) == 5
+
+
+def test_a_planted_stored_class_fails_the_full_row_cross_check():
+    # drop one root from one stored class: the cross-check must report the
+    # weights of that class, and only those, so the store is what is read
+    rs = RootSystem(parse_algebra("F4"))
+    mu = next(mu for mu in enumerate_level(rs, 4) if len(decompose(rs, mu).entries) > 2)
+    clip, classes = _store(rs)
+    key = tuple(min(x, clip) for x in mu.labels)
+    classes[key] = classes[key][1:]
+    mismatches = _row_mismatches(rs, range(2, 7))
+    assert mu in mismatches
+    assert {tuple(min(x, clip) for x in nu.labels) for nu in mismatches} == {key}
+
+
+def test_a_stored_e8_class_costs_at_most_1500_bytes():
+    # a seeded sample of E8's box classes {0..2}^9 of level >= 2, traced after the
+    # record is built: the store grows by at most 1,500 B a class
+    rs = RootSystem(parse_algebra("E8"))
+    decompose(rs, AffineWeight(2, (2,) + (0,) * 8))
+    clip, classes = _store(rs)
+    rng = random.Random("store:E8")
+    box = [v for v in itertools.product(range(clip + 1), repeat=9) if sum(map(mul, rs.affine_comarks, v)) >= 2]
+    sample = [AffineWeight(sum(map(mul, rs.affine_comarks, v)), v) for v in rng.sample(box, 400)]
+    before = len(classes)
+    tracemalloc.start()
+    try:
+        for mu in sample:
+            decompose(rs, mu)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    added = len(classes) - before
+    size = f"{traced} B by tracemalloc for {added} classes, {traced // added} B a class"
+    assert added == 400, size
+    assert traced // added <= 1500, size
 
 
 def _theta_level(rs, beta, i, t):

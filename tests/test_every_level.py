@@ -11,8 +11,11 @@ offsets nu - mu that the clipped mu^ alone fixes:
 
 - `decompose` keeps mu + beta when mu^ passes beta's row of `rule_table`,
   label by label mu^_i >= t_i.  If every threshold t_i is <= c, then mu^_i
-  >= t_i exactly when min(mu^_i, c) >= t_i.  Its diagonal term at mu counts
-  the nonzero labels, less one, and clipping at c >= 1 keeps a label nonzero.
+  >= t_i exactly when min(mu^_i, c) >= t_i.  It reads the passing roots from
+  the class it stores per mu^ clipped at c, settled from the clipped labels
+  on the class's first weight, and adds them to mu.  Its diagonal term at mu
+  counts the nonzero labels, less one, and clipping at c >= 1 keeps a label
+  nonzero.
 - `kac_walton_fusion` adds, to mu, the net offsets its class stores per
   clipped mu^, and folds the class's `rest` from mu^ itself.  The oracle's
   clip lemma (see `fusionkit.oracle`) makes each stored offset the outcome of

@@ -66,6 +66,13 @@ def test_tadpole_loads_no_table_no_sweep_and_no_oracle():
     assert modules & (NEVER | {"fusionkit.oracle"}) == set()
 
 
+def test_tadpole_closed_form_loads_no_fractions():
+    # the E6 rows are integer literals, and only a refused remainder loads `fractions`
+    code, modules = _loaded("tadpole", "E6", "--level", "20")
+    assert (code, "fusionkit.tadpole" in modules) == (0, True)
+    assert modules & {"fractions", "decimal", "numbers"} == set()
+
+
 def _imports(nodes):
     for node in nodes:
         if isinstance(node, ast.Import):

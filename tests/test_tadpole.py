@@ -3,7 +3,7 @@ import gc
 import random
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -69,13 +69,27 @@ def test_exact_returns_the_int_quotient_or_the_fraction():
             assert type(got) is (int if n % d == 0 else Fraction), (n, d)
 
 
-def _published_e6_rows():
-    """The E6 coefficient rows as `tadpole.py` writes them: the string argument
-    of each `_NAME = _rows(...)` assignment, read from the source."""
-    tree = ast.parse(Path(tadpole.__file__).read_text())
-    return {node.targets[0].id: ast.literal_eval(node.value.args[0]) for node in tree.body
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-            and getattr(node.value.func, "id", None) == "_rows"}
+# The E6 branch rows as the paper prints them: rational coefficients of J^0..J^6, one
+# row per residue t of k = 6J + t.  `tadpole.py` writes each as integer numerators over
+# one denominator, and `test_e6_paper_rows_reduce_to_the_integer_rows` holds it to these.
+PAPER_E6_ROWS = {
+    "_E6_ADJOINT": (
+        ("-1", "-14/5", "54/5", "117/2", "189/2", "324/5", "81/5"),
+        ("0", "9", "1191/20", "141", "621/4", "81", "81/5"),
+        ("3", "423/10", "1593/10", "537/2", "459/2", "486/5", "81/5"),
+        ("17", "1241/10", "6741/20", "450", "1269/4", "567/5", "81/5"),
+        ("48", "1392/5", "3099/5", "1389/2", "837/2", "648/5", "81/5"),
+        ("117", "2766/5", "20871/20", "1011", "2133/4", "729/5", "81/5"),
+    ),
+    "_E6_ZERO": (
+        ("1", "83/10", "551/20", "45", "153/4", "81/5", "27/10"),
+        ("3", "427/20", "2277/40", "301/4", "423/8", "189/10", "27/10"),
+        ("9", "242/5", "2091/20", "116", "279/4", "108/5", "27/10"),
+        ("20", "1869/20", "6997/40", "675/4", "711/8", "243/10", "27/10"),
+        ("42", "337/2", "5511/20", "235", "441/4", "27", "27/10"),
+        ("78", "5621/20", "16497/40", "1265/4", "1071/8", "297/10", "27/10"),
+    ),
+}
 
 
 def _fraction_horner(row, x):
@@ -96,17 +110,25 @@ E6_TABLES = {"_E6_ADJOINT": tadpole._E6_ADJOINT, "_E6_ZERO": tadpole._E6_ZERO}
 
 
 def test_e6_integer_rows_match_fraction_horner():
-    rows = _published_e6_rows()
-    assert sorted(rows) == sorted(E6_TABLES)
+    assert sorted(PAPER_E6_ROWS) == sorted(E6_TABLES)
     for name, branches in E6_TABLES.items():
-        assert len(branches) == len(rows[name]) == 6
-        assert _row_mismatches(branches, rows[name]) == [], name
+        assert len(branches) == len(PAPER_E6_ROWS[name]) == 6
+        assert _row_mismatches(branches, PAPER_E6_ROWS[name]) == [], name
+
+
+@pytest.mark.parametrize("name", sorted(E6_TABLES))
+def test_e6_paper_rows_reduce_to_the_integer_rows(name):
+    # each paper row over its lowest common denominator is the literal row, numerators highest power first
+    for branch, row in zip(E6_TABLES[name], PAPER_E6_ROWS[name]):
+        coefficients = [Fraction(c) for c in row]
+        denominator = lcm(*(c.denominator for c in coefficients))
+        assert branch.args == (tuple(int(c * denominator) for c in reversed(coefficients)), denominator), row
 
 
 @pytest.mark.parametrize("name", sorted(E6_TABLES))
 def test_planted_coefficient_fault_fails_the_row_comparison(name):
     # each power in turn, in a different row each time, one integer coefficient off by 1
-    rows = _published_e6_rows()[name]
+    rows = PAPER_E6_ROWS[name]
     for power in range(7):
         t = power % 6
         branch = E6_TABLES[name][t]
