@@ -6,12 +6,13 @@ dominant affine weights at level k) and the adjoint tadpole (the sum of the
 diagonal coefficients of theta (x) mu over those weights).  Both are
 quasi-polynomials in k whose period is the lcm of the comarks; closed forms
 exist for the classical families and E6, branch by branch in J = k // period.
-The classical forms are the paper's sums of falling factorials in J, by
-`math.perm`, each one integer over a factorial fixed once per algebra; the E6
-forms are literal rows of integer numerators over one denominator each, run by
-integer Horner.  Every value takes one `divmod`, in `_exact`; `tables` holds
-the B table.  The counting route keeps one array of vacuum counts per root
-system, at most twice the highest level asked and freed with it.
+A classical branch is the paper's sum of falling factorials in J with the shared
+factor taken out: one `_binomial` (one `math.comb`) times a small integer
+bracket.  A, C and D's odd adjoint branch divide by nothing, the other B and D
+branches by r - 1, (r - 1)(r - 2), r or r(r - 1) in `_exact`; E6's literal
+integer rows run integer Horner over one denominator in `_exact`.  The counting
+route keeps one array of vacuum counts per root system, at most twice the
+highest level asked and freed with it.
 `TADPOLES` names each kind's level floor and routes once, and `tadpole_by` runs
 a route by its name; the CLI, `verify` and `tables` read both.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import factorial, perm
+from math import comb, perm
 
 from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
@@ -50,7 +51,9 @@ TADPOLES = {
 
 
 def tadpole_by(kind: str, method: str, algebra: AlgebraId, level: int) -> int:
-    """The `kind` tadpole by one route; an unknown route, then the level, is refused before any build."""
+    """The `kind` tadpole by one route; an unknown kind or route, then the level, is refused before any build."""
+    if kind not in TADPOLES:
+        raise ValueError(f"tadpole_by: no kind {kind!r}; the kinds are {' and '.join(sorted(TADPOLES))}")
     if method not in ("formula", "enum", "oracle"):
         raise ValueError(f"tadpole_by: no route {method!r}; the routes are formula, enum and oracle")
     _check_level(kind, algebra, level)
@@ -67,8 +70,8 @@ class PiecewisePolynomial(namedtuple("PiecewisePolynomial", "name period branche
     """Quasi-polynomial in the level: one branch per residue of k mod period.
 
     Branch t is a callable of J, where k = period * J + t, returning the value of a polynomial
-    in J as an exact value (an int or a Fraction): an integer over a factorial for A-D, integer
-    Horner over one denominator per row for E6, each divided by `_exact`.  `evaluate_raw`
+    in J as an exact value (an int or a Fraction): a binomial times a bracket for A-D, some B and
+    D branches over a small integer, integer Horner over one denominator for E6.  `evaluate_raw`
     refuses a value that is not an integer and `evaluate` refuses negatives;
     the level floors are in `TADPOLES` (recurrence identities legitimately read values below them).
     """
@@ -140,32 +143,31 @@ _E6_ZERO = _rows((
 ))
 
 
-# The classical forms are written as in the paper, with (x)_m =
-# falling_power(x, m) and J the branch variable j; terms over different
-# factorials are brought over the largest one.
+def _binomial(x: int, m: int) -> int:
+    """(x)_m / m! for any int x: `math.comb` at x >= 0, (-1)^m C(m-1-x, m) below; ValueError for m < 0."""
+    return comb(x, m) if x >= 0 else (-1) ** m * comb(m - 1 - x, m)
 
 
 @lru_cache(maxsize=None)
 def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
-    name, d = f"adjoint tadpole[{algebra}]", factorial(r - 1)
+    name = f"adjoint tadpole[{algebra}]"
     if f in ("A", "C"):
-        return PiecewisePolynomial(name, 1, (
-            lambda j: _exact((j - 1) * falling_power(j + r - 1, r - 1), d),
-        ))
+        return PiecewisePolynomial(name, 1, (lambda j: (j - 1) * _binomial(j + r - 1, r - 1),))
     if f == "B":
+        # shared (J+r-2)_{r-2} = Q: (J+r-1)_r = (J+r-1) J Q, (J+r-2)_{r-1} = J Q, (J+r-1)_{r-1} = (J+r-1) Q
+        a, b, c = r - 2, r - 1, 3 * r - 2
         return PiecewisePolynomial(name, 2, (
-            lambda j: _exact(4 * falling_power(j + r - 1, r) - 3 * (r - 1) * falling_power(j + r - 2, r - 1)
-                             - falling_power(j + r - 1, r - 1), d),
-            lambda j: _exact(4 * falling_power(j + r - 1, r) - (r - 2) * falling_power(j + r - 2, r - 1), d),
+            lambda j: _exact(_binomial(j + a, a) * (4 * j * j + a * j - b), b),
+            lambda j: _exact(_binomial(j + a, a) * j * (4 * j + c), b),
         ))
     if f == "D":
-        # even: 8J (J+r-2)_{r-1} / (r-1)! + (r-4) (J+r-3)_{r-2} / (r-2)! - (J+r-3)_{r-3} / (r-3)!
+        # even, shared (J+r-3)_{r-3} = Q: (J+r-2)_{r-1} = (J+r-2) J Q, (J+r-3)_{r-2} = J Q;
+        # odd: (J+r-2)_r = (J-1) (J+r-2)_{r-1}
+        a, b, c, d = r - 3, r - 2, (r - 1) * (r - 4), (r - 1) * (r - 2)
         return PiecewisePolynomial(name, 2, (
-            lambda j: _exact(8 * j * falling_power(j + r - 2, r - 1) + (r - 1) * (
-                (r - 4) * falling_power(j + r - 3, r - 2) - (r - 2) * falling_power(j + r - 3, r - 3)
-            ), d),
-            lambda j: _exact(8 * falling_power(j + r - 2, r) + 4 * (r + 2) * falling_power(j + r - 2, r - 1), d),
+            lambda j: _exact(_binomial(j + a, a) * (8 * j * j * (j + b) + c * j - d), d),
+            lambda j: 4 * _binomial(j + b, r - 1) * (2 * j + r),
         ))
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ADJOINT)
@@ -175,19 +177,22 @@ def adjoint_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
 @lru_cache(maxsize=None)
 def zero_tadpole_polynomial(algebra: AlgebraId) -> PiecewisePolynomial:
     f, r = algebra.family, algebra.rank
-    name, d = f"vacuum tadpole[{algebra}]", factorial(r)
+    name = f"vacuum tadpole[{algebra}]"
     if f in ("A", "C"):
-        return PiecewisePolynomial(name, 1, (lambda j: _exact(falling_power(j + r, r), d),))
+        return PiecewisePolynomial(name, 1, (lambda j: _binomial(j + r, r),))
     if f == "B":
+        # shared (J+r-1)_{r-1} = Q: (J+r)_r = (J+r) Q, (J+r-1)_r = J Q
+        a, c = r - 1, 3 * r
         return PiecewisePolynomial(name, 2, (
-            lambda j: _exact(falling_power(j + r, r) + 3 * falling_power(j + r - 1, r), d),
-            lambda j: _exact(3 * falling_power(j + r, r) + falling_power(j + r - 1, r), d),
+            lambda j: _exact(_binomial(j + a, a) * (4 * j + r), r),
+            lambda j: _exact(_binomial(j + a, a) * (4 * j + c), r),
         ))
     if f == "D":
-        # even: 8 (J+r-1)_r / r! + (J+r-2)_{r-2} / (r-2)!;  odd: 8 (J+r-1)_r / r! + 4 (J+r-1)_{r-1} / (r-1)!
+        # even, shared (J+r-2)_{r-2} = Q: (J+r-1)_r = (J+r-1) J Q;  odd: (J+r-1)_r = J (J+r-1)_{r-1}
+        a, b, d = r - 2, r - 1, r * (r - 1)
         return PiecewisePolynomial(name, 2, (
-            lambda j: _exact(8 * falling_power(j + r - 1, r) + r * (r - 1) * falling_power(j + r - 2, r - 2), d),
-            lambda j: _exact(8 * falling_power(j + r - 1, r) + 4 * r * falling_power(j + r - 1, r - 1), d),
+            lambda j: _exact(_binomial(j + a, a) * (8 * j * (j + b) + d), d),
+            lambda j: _exact(4 * _binomial(j + b, b) * (2 * j + r), r),
         ))
     if f == "E" and r == 6:
         return PiecewisePolynomial(name, 6, _E6_ZERO)

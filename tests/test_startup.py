@@ -67,10 +67,12 @@ def test_tadpole_loads_no_table_no_sweep_and_no_oracle():
 
 
 def test_tadpole_closed_form_loads_no_fractions():
-    # the E6 rows are integer literals, and only a refused remainder loads `fractions`
-    code, modules = _loaded("tadpole", "E6", "--level", "20")
-    assert (code, "fusionkit.tadpole" in modules) == (0, True)
-    assert modules & {"fractions", "decimal", "numbers"} == set()
+    # the E6 rows are integer literals, the classical branches binomials over small
+    # integers, and only a refused remainder loads `fractions`
+    for args in (("E6", "--level", "20"), ("B50", "--level", "200"), ("D30", "--level", "201", "--zero")):
+        code, modules = _loaded("tadpole", *args)
+        assert (code, "fusionkit.tadpole" in modules) == (0, True), args
+        assert modules & {"fractions", "decimal", "numbers"} == set(), args
 
 
 def _imports(nodes):

@@ -1,9 +1,10 @@
 import ast
 import gc
 import random
+import types
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from fusionkit import (
 )
 from fusionkit.algebra import RootSystem, algebras_up_to
 from fusionkit.tables import check_b_table
-from fusionkit.tadpole import _exact, _vacuum_counts
+from fusionkit.tadpole import _binomial, _exact, _vacuum_counts
 
 # Frozen reference sequences for E6 (levels 0..19), from direct enumeration.
 E6_ZERO = (1, 3, 9, 20, 42, 78, 139, 231, 372, 573, 861, 1254, 1791, 2499,
@@ -59,6 +60,20 @@ def test_falling_power_int_path_matches_the_product():
                 product *= x - j
             got = falling_power(x, m)
             assert got == product and type(got) is int, (x, m)
+
+
+def test_binomial_is_the_falling_power_over_the_factorial():
+    # math.comb at x >= 0; below 0 the binomial C(x, m) = (x)_m / m! that evaluate_raw reads under the floor
+    for x in range(-60, 61):
+        for m in range(13):
+            got = _binomial(x, m)
+            assert got == falling_power(x, m) // factorial(m) and type(got) is int, (x, m)
+
+
+@pytest.mark.parametrize("x", (3, 0, -2))
+def test_binomial_refuses_a_negative_exponent(x):
+    with pytest.raises(ValueError):
+        _binomial(x, -1)
 
 
 def test_exact_returns_the_int_quotient_or_the_fraction():
@@ -340,6 +355,17 @@ def test_level_gates():
     assert zero_tadpole_enum(rs, 0) == 1
 
 
+def test_tadpole_by_refuses_an_unknown_kind(monkeypatch):
+    # refused by name, naming the kinds, before the level guard and before any build
+    def no_build(algebra):
+        raise AssertionError(f"built {algebra}")
+
+    monkeypatch.setattr(tadpole, "build", no_build)
+    for method in ("formula", "enum", "oracle", "bogus"):
+        with pytest.raises(ValueError, match="no kind 'bogus'; the kinds are adjoint and vacuum"):
+            tadpole.tadpole_by("bogus", method, AlgebraId("A", 2), 3)
+
+
 @pytest.mark.parametrize("method", ["floor", "polynomial", "all", "Formula"])
 @pytest.mark.parametrize("kind", sorted(tadpole.TADPOLES))
 def test_tadpole_by_runs_only_the_three_routes(kind, method, monkeypatch):
@@ -394,6 +420,78 @@ def test_high_rank_closed_forms_match_the_counting_array(name):
             assert adjoint_tadpole_formula(rs.algebra, k) == shifted - counts[k], k
 
 
+def _paper_branches(kind, family, r):
+    """The paper's classical branches as (d, numerators): sums of falling factorials (x)_m in J
+    over one factorial d, the reference form of the package's binomial-times-bracket branches."""
+    fp = falling_power
+    if kind == "adjoint":
+        d, a_c = factorial(r - 1), (lambda j: (j - 1) * fp(j + r - 1, r - 1),)
+        sums = {"A": a_c, "C": a_c, "B": (
+            lambda j: 4 * fp(j + r - 1, r) - 3 * (r - 1) * fp(j + r - 2, r - 1) - fp(j + r - 1, r - 1),
+            lambda j: 4 * fp(j + r - 1, r) - (r - 2) * fp(j + r - 2, r - 1),
+        ), "D": (
+            # 8J (J+r-2)_{r-1} / (r-1)! + (r-4) (J+r-3)_{r-2} / (r-2)! - (J+r-3)_{r-3} / (r-3)!
+            lambda j: 8 * j * fp(j + r - 2, r - 1) + (r - 1) * (
+                (r - 4) * fp(j + r - 3, r - 2) - (r - 2) * fp(j + r - 3, r - 3)),
+            lambda j: 8 * fp(j + r - 2, r) + 4 * (r + 2) * fp(j + r - 2, r - 1),
+        )}
+    else:
+        d, a_c = factorial(r), (lambda j: fp(j + r, r),)
+        sums = {"A": a_c, "C": a_c, "B": (
+            lambda j: fp(j + r, r) + 3 * fp(j + r - 1, r),
+            lambda j: 3 * fp(j + r, r) + fp(j + r - 1, r),
+        ), "D": (
+            # 8 (J+r-1)_r / r! + (J+r-2)_{r-2} / (r-2)!  and  8 (J+r-1)_r / r! + 4 (J+r-1)_{r-1} / (r-1)!
+            lambda j: 8 * fp(j + r - 1, r) + r * (r - 1) * fp(j + r - 2, r - 2),
+            lambda j: 8 * fp(j + r - 1, r) + 4 * r * fp(j + r - 1, r - 1),
+        )}
+    return d, sums[family]
+
+
+def _paper_mismatches(module, kind, family, max_rank=50):
+    """(rank, level) where `module`'s polynomial of the kind leaves the paper's sum, below
+    the floor too: every level from -3r - 5 to 300, a refused (non-integer) value included."""
+    polynomial = getattr(module, tadpole.TADPOLES[kind]["polynomial"])
+    for algebra in algebras_up_to(max_rank):
+        if algebra.family == family:
+            r = algebra.rank
+            (d, branches), poly = _paper_branches(kind, family, r), polynomial(algebra)
+            assert poly.period == len(branches)
+            for k in range(-3 * r - 5, 301):
+                j, t = divmod(k, poly.period)
+                try:
+                    got = poly.evaluate_raw(k)
+                except RuntimeError:
+                    got = None
+                if got != Fraction(branches[t](j), d):
+                    yield r, k
+
+
+@pytest.mark.parametrize("family", "ABCD")
+@pytest.mark.parametrize("kind", sorted(tadpole.TADPOLES))
+def test_binomial_branches_equal_the_paper_sums(kind, family):
+    assert list(_paper_mismatches(tadpole, kind, family)) == []
+
+
+@pytest.mark.parametrize("kind,family,old,new", [
+    ("adjoint", "B", "a * j - b), b)", "(a + 1) * j - b), b)"),
+    ("adjoint", "D", "c * j - d), d)", "(c + 1) * j - d), d)"),
+    ("vacuum", "B", "(4 * j + c), r)", "(4 * j + c + 1), r)"),
+    ("vacuum", "D", "(j + b) + d), d)", "(j + b) + d + 1), d)"),
+], ids=("B-adjoint", "D-adjoint", "B-vacuum", "D-vacuum"))
+def test_a_planted_bracket_fault_fails_the_paper_comparison(kind, family, old, new):
+    # one bracket coefficient off by 1 in a copy of the module's source, run as a module
+    source = Path(tadpole.__file__).read_text()
+    assert source.count(old) == 1, old
+    first_mismatch = []
+    for text in (source, source.replace(old, new)):
+        module = types.ModuleType("fusionkit.tadpole_copy")
+        module.__package__ = "fusionkit"
+        exec(compile(text, tadpole.__file__, "exec"), vars(module))
+        first_mismatch.append(next(_paper_mismatches(module, kind, family, max_rank=8), None))
+    assert first_mismatch[0] is None and first_mismatch[1] is not None, first_mismatch
+
+
 # what the two compared routes of a kind may share: the level guard and what it reads
 _LEVEL_GUARD = {"_check_level", "TADPOLES", "_FUSION_FLOOR", "LevelTooSmall", "AlgebraId"}
 
@@ -431,7 +529,7 @@ def test_formula_and_enumeration_share_only_the_level_guard(kind):
     names = _module_names()
     routes = tadpole.TADPOLES[kind]
     formula, enum = _reachable(routes["formula"], names), _reachable(routes["enum"], names)
-    assert {routes["polynomial"], "falling_power", "_check_level"} <= formula
+    assert {routes["polynomial"], "_binomial", "_check_level"} <= formula
     assert {"_vacuum_counts", "_check_level"} <= enum
     assert formula & enum <= _LEVEL_GUARD
 
