@@ -19,8 +19,7 @@ _EXPORTS = {
     "tables": ("B_TADPOLE_TABLE", "F4_STRING_TABLE", "G2_OFFDIAG_TABLE", "NontrivialCondition",
                "nontrivial_conditions", "reference_nontrivial_conditions"),
     "tadpole": ("PiecewisePolynomial", "adjoint_tadpole_enum", "adjoint_tadpole_formula", "adjoint_tadpole_oracle",
-                "adjoint_tadpole_polynomial", "falling_power", "zero_tadpole_enum", "zero_tadpole_formula",
-                "zero_tadpole_polynomial"),
+                "adjoint_tadpole_polynomial", "zero_tadpole_enum", "zero_tadpole_formula", "zero_tadpole_polynomial"),
     "verify": ("VerifyReport", "run_verify"),
     "weights": ("AffineWeight", "affinize", "enumerate_level", "format_weight", "parse_weight"),
 }

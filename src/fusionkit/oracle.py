@@ -14,15 +14,18 @@ some x^_i = 0: a reflection fixes it, so its fold ends on a wall and it is
 dropped.  It lies inside if every x^_i >= 1, and adds its multiplicity at mu +
 beta unfolded.  Otherwise it lies outside.  Every x^_i >= 1 where mu^_i >= c =
 max(0, -min beta^_i), 2 (3 for G2), so the class and an outside point's first
-reflection y^ = x^ - 1 - worst alpha^_i depend only on mu^ clipped at c.  Where
-y^ has no negative label at a clipped position, its outcome is that of every
-mu^ of the class: kept at sign -1 and offset nu - mu = y - mu if min y^ >= 0,
-dropped on a wall if it is -1.  The root system stores per clipped mu^ the net
-signed offsets of the inside and kept points, zeros dropped, and apart the
-records whose outcome needs the labels, which `affine_fold` folds from x^.  The
-tensor product is the same sum at the stable level (theta, mu) + 2, where no
-shifted weight reaches the affine wall.  Nothing here shares logic with the
-rule modules beyond the root-system data and the input checks of `weights`.
+reflection y^ = x^ - 1 - worst alpha^_i depend only on mu^ clipped at c.  A y^
+with a label below -1 (a second reflection) or a negative label at a clipped
+position (an outcome beyond the clip) refuses the class with a RuntimeError,
+where it is built; `tests/test_every_level.py` certifies, adjoint record by
+record, that no class of any algebra of rank <= 40 is refused.  Every other
+outcome is that of every mu^ of the class: kept at sign -1 and offset nu - mu =
+y - mu if min y^ >= 0, dropped on a wall if it is -1.  The root system stores
+per clipped mu^ the net signed offsets of the inside and kept points, zeros
+dropped.  The tensor product is the same sum at the stable level (theta, mu) +
+2, where no shifted weight reaches the affine wall.  Nothing here shares logic
+with the rule modules beyond the root-system data and the input checks of
+`weights`.
 """
 
 from __future__ import annotations
@@ -33,24 +36,6 @@ from .algebra import RootSystem
 from .weights import AffineWeight, Weight, _check_affine, affinize, stable_level
 
 _CLASS_CAP = 3 ** 9  # E8's whole box {0..2}^9: no algebra of rank <= 8 fills it; A20's holds 3^21
-
-
-def affine_fold(rs: RootSystem, x: list[int]) -> tuple[int, list[int] | None]:
-    """Fold the affine labels x = (x_0; finite labels), at a level sum > 0, into
-    the shifted alcove: (sign, folded) or (0, None)."""
-    walls = _adjoint_weights(rs)[3]
-    level = sum(map(mul, rs.affine_comarks, x))
-    if level <= 0 or len(x) != len(walls):
-        rs.theta_pairing(x[1:])  # raises AlgebraMismatch on a wrong length
-        raise ValueError(f"affine labels {x} have level sum {level}, not > 0")
-    sign = 1
-    for _ in range(10 * len(rs.positive_roots) * level):
-        worst = min(x)
-        if worst >= 0:
-            return (sign, x) if worst else (0, None)
-        x = [a - worst * c for a, c in zip(x, walls[x.index(worst)])]
-        sign = -sign
-    raise RuntimeError(f"affine folding did not terminate for {x}")
 
 
 def racah_speiser_tensor(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
@@ -72,33 +57,34 @@ def _adjoint_weights(rs: RootSystem) -> tuple[tuple[tuple[tuple[int, ...], Weigh
     return rs.derived["adjoint_weights"]
 
 
-def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tuple]:
     """By mu^ clipped at c: the net signed offsets nu - mu that every mu^ of the class shares, as the root
-    system's own label tuples and their multiplicities, then the adjoint records whose outcome needs the
-    labels beyond the clip, or a second reflection; stored under `_CLASS_CAP`."""
+    system's own label tuples, and their multiplicities; stored under `_CLASS_CAP`.  A class with a point
+    that one reflection does not settle for every mu^ of the class is refused where it is built."""
     weights, clip, classes, walls = _adjoint_weights(rs)
     clipped = tuple([m if m < clip else clip for m in labels])
     found = classes.get(clipped)
     if found is None:
-        inside, kept, rest = [], [], []
-        for weight in weights:
-            x = [m + 1 + b for m, b in zip(clipped, weight[0])]
+        inside, kept = [], []
+        for hat, beta, times in weights:
+            x = [m + 1 + b for m, b in zip(clipped, hat)]
             if 0 not in x:
                 worst = min(x)
                 if worst > 0:
-                    inside.append(weight)
-                else:
-                    y = [a - 1 - worst * w for a, w in zip(x, walls[x.index(worst)])]  # at sign -1
-                    low = min(y)
-                    if low >= 0:
-                        kept.append((tuple(map(sub, y[1:], clipped[1:])), weight[2]))
-                    elif low < -1 or any(v < 0 for v, m in zip(y, clipped) if m == clip):
-                        rest.append(weight)  # else on a wall for every mu^ of the class
-        net = {beta: times for _, beta, times in inside}
+                    inside.append((beta, times))
+                    continue
+                y = [a - 1 - worst * w for a, w in zip(x, walls[x.index(worst)])]  # at sign -1
+                low = min(y)
+                if low < -1 or any(v < 0 for v, m in zip(y, clipped) if m == clip):
+                    raise RuntimeError(f"{rs.algebra}: labels clipped to {clipped} leave {hat} unsettled "
+                                       "by one reflection")
+                if low >= 0:  # else on a wall for every mu^ of the class
+                    kept.append((tuple(map(sub, y[1:], clipped[1:])), times))
+        net = dict(inside)
         for off, times in kept:  # lands on an inside beta, whose tuple stays the key, or nets < 0 below
             net[off] = net.get(off, 0) - times
-        found = tuple([beta for beta, m in net.items() if m]), tuple([m for m in net.values() if m]), tuple(rest)
-        if not rest and min(found[1], default=0) < 0:
+        found = tuple([beta for beta, m in net.items() if m]), tuple([m for m in net.values() if m])
+        if min(found[1], default=0) < 0:
             raise RuntimeError(f"{rs.algebra}: labels clipped to {clipped} fold to multiplicity {min(found[1])}")
         if len(classes) < _CLASS_CAP:
             classes[clipped] = found
@@ -108,17 +94,6 @@ def _sorted_weights(rs: RootSystem, labels: tuple[int, ...]) -> tuple[tuple, tup
 def kac_walton_fusion(rs: RootSystem, mu: AffineWeight) -> dict[Weight, int]:
     """theta (x) mu in the level-k fusion ring, by folding into the alcove."""
     _check_affine(rs, mu)
-    offsets, times, rest = _sorted_weights(rs, mu.labels)
+    offsets, times = _sorted_weights(rs, mu.labels)
     finite = mu.finite
-    acc = {tuple(map(add, finite, off)): m for off, m in zip(offsets, times)}  # distinct offsets, distinct weights
-    if not rest:
-        return acc
-    for hat, _, m in rest:
-        sign, folded = affine_fold(rs, [a + 1 + b for a, b in zip(mu.labels, hat)])
-        if sign:
-            nu = tuple([f - 1 for f in folded[1:]])
-            acc[nu] = acc.get(nu, 0) + sign * m
-    for nu, c in acc.items():
-        if c < 0:
-            raise RuntimeError(f"theta x {mu} folded to {nu} with multiplicity {c} at level {mu.level}")
-    return {nu: c for nu, c in acc.items() if c != 0}
+    return {tuple(map(add, finite, off)): m for off, m in zip(offsets, times)}  # distinct offsets and weights

@@ -21,23 +21,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import comb, perm
+from math import comb
 
 from .algebra import AlgebraId, RootSystem, build
 from .errors import LevelTooSmall, NoClosedForm
 from .weights import _FUSION_FLOOR, enumerate_level
-
-
-def falling_power(x, m: int):
-    """x (x-1) ... (x-m+1), 1 for m = 0, ValueError for m < 0; for an int x `math.perm`."""
-    if m < 0:
-        raise ValueError(f"falling_power needs m >= 0, got {m}")
-    if isinstance(x, int):
-        return perm(x, m) if x >= 0 else (-1) ** m * perm(m - 1 - x, m)
-    out = 1
-    for j in range(m):
-        out = out * (x - j)
-    return out
 
 
 # kind -> its level floor and the names of its routes in this module.  A route is

@@ -20,7 +20,6 @@ from fusionkit import (
     adjoint_tadpole_polynomial,
     build,
     enumerate_level,
-    falling_power,
     kac_walton_fusion,
     nontrivial_conditions,
     racah_speiser_tensor,
@@ -33,6 +32,7 @@ from fusionkit.algebra import algebras_up_to
 from fusionkit.tables import check_b_table, check_f4_table, condition_algebras
 from fusionkit.verify import check_rules_vs_oracle
 from root_reference import simple_root, string_height
+from test_tadpole import falling_power
 
 
 @contextmanager

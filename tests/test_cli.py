@@ -10,8 +10,10 @@ import pytest
 import fusionkit.cli as cli
 import fusionkit.tables
 import fusionkit.tadpole
+import fusionkit.verify
 from fusionkit import (
     AlgebraMismatch,
+    FusionDecomposition,
     FusionError,
     InvalidRank,
     LevelMismatch,
@@ -306,6 +308,20 @@ def test_verify_detects_bad_formula(capsys, monkeypatch):
     rc, _, err = run(capsys, "verify", "--max-rank", "1", "--max-level", "3", "--suite", "tadpole")
     assert rc == 4
     assert "adjoint tadpole (k=J)" in err
+
+
+def test_verify_detects_bad_rules(capsys, monkeypatch):
+    # a decompose that drops every term of A1's (1; 1) at level 2: the rules
+    # suite reports that one weight, on stderr and under mismatches with --json
+    decompose = fusionkit.verify.decompose
+    monkeypatch.setattr(fusionkit.verify, "decompose",
+                        lambda rs, mu: FusionDecomposition({}) if mu.labels == (1, 1) else decompose(rs, mu))
+    line = "A1 level 2: theta x (2; 1) gives {} by rules, {(1,): 1} by folding"
+    argv = ("verify", "--max-rank", "1", "--max-level", "2", "--suite", "rules")
+    assert run(capsys, *argv) == (4, "verify: 1 tasks, 1 mismatches\n", line + "\n")
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, err) == (4, "")
+    assert json.loads(out) == {"command": "verify", "mismatches": [line], "ok": False, "tasks": 1}
 
 
 def _plant_b_cell(monkeypatch):

@@ -1,9 +1,13 @@
 """Every level at once: finite certificates that the rules equal folding,
-and that each tadpole closed form equals counting, at every level.
+that folding needs one reflection, and that each tadpole closed form equals
+counting, at every level.
 
-There are three, each with its argument: the box certificate `certify`,
+There are four, each with its argument: the box certificate `certify`,
 below; the per-root certificate `certify_per_root` for A, D and E at every
-rank; and `pin_closed_forms` for the tadpole closed forms of rank <= 50.
+rank; the per-record certificate `certify_per_record`, that the oracle settles
+every outside point with one reflection and so refuses no class, for every
+algebra of rank <= 40; and `pin_closed_forms` for the tadpole closed forms of
+rank <= 50.
 
 The box.  Both routes read mu^ = (mu_0; mu) only through mu^ clipped at the oracle's
 clip c = max(0, -min beta^_i), 2 (3 for G2), and both put their terms at
@@ -17,19 +21,19 @@ offsets nu - mu that the clipped mu^ alone fixes:
   counts the nonzero labels, less one, and clipping at c >= 1 keeps a label
   nonzero.
 - `kac_walton_fusion` adds, to mu, the net offsets its class stores per
-  clipped mu^, and folds the class's `rest` from mu^ itself.  The oracle's
-  clip lemma (see `fusionkit.oracle`) makes each stored offset the outcome of
-  every mu^ of the class, so with an empty rest its result reads the clipped
-  mu^ alone.
+  clipped mu^.  The oracle's clip lemma (see `fusionkit.oracle`) makes each
+  stored offset the outcome of every mu^ of the class, and a class that
+  would need the labels beyond the clip, or a second reflection, is refused
+  where it is built; so its result reads the clipped mu^ alone.
 
 Every mu^ of level >= 2 clips to a v in the box {0..c}^{r+1} of level >= 2:
 either no label is clipped and v = mu^, or some label becomes c >= 2.  So if
 every threshold is <= c, and at every v of the box of level >= 2 the class
-has an empty rest and `decompose` equals `kac_walton_fusion`, then the two
-routes agree at every mu^ of every level >= 2, each being mu plus the same
-offsets as at v.  That covers the stable-level tensor product too, which is
-the fusion product at level (theta, mu) + 2.  `certify` runs the three checks
-on one root system and returns what fails.  The tests run it on every algebra
+is built and `decompose` equals `kac_walton_fusion`, then the two routes
+agree at every mu^ of every level >= 2, each being mu plus the same offsets
+as at v.  That covers the stable-level tensor product too, which is the
+fusion product at level (theta, mu) + 2.  `certify` runs the three checks on
+one root system and returns what fails.  The tests run it on every algebra
 of rank <= 6 (15,332 box weights, about 2.5 s); a CI step runs it on A7, B7,
 C7, D7, E7 and E8 (about 17 s) under python and python -O.
 """
@@ -47,17 +51,21 @@ from fusionkit.algebra import algebras_up_to, parse_algebra
 
 
 def certify(rs: RootSystem) -> list[str]:
-    """The certificate's failures for one root system: rule thresholds above the clip, box classes with a
-    rest, and box weights where the two routes differ.  Empty when the rules equal folding at every level."""
+    """The certificate's failures for one root system: rule thresholds above the clip, box classes the
+    oracle refuses, and box weights where the two routes differ.  Empty when the rules equal folding at
+    every level."""
     clip = oracle._adjoint_weights(rs)[1]
     failures = [f"{rs.algebra}: threshold {t} of {beta} exceeds the clip {clip}"
                 for beta, floor in adjoint_rules.rule_table(rs) for t in floor if t > clip]
     for v in product(range(clip + 1), repeat=rs.rank + 1):
         mu = AffineWeight(sum(map(mul, rs.affine_comarks, v)), v)
         if mu.level >= 2:
-            if oracle._sorted_weights(rs, v)[2]:
-                failures.append(f"{rs.algebra}: the class of {v} needs the labels beyond the clip")
-            if decompose(rs, mu).entries != kac_walton_fusion(rs, mu):
+            try:
+                folded = kac_walton_fusion(rs, mu)
+            except RuntimeError as exc:
+                failures.append(f"{rs.algebra}: the class of {v} is refused: {exc}")
+                continue
+            if decompose(rs, mu).entries != folded:
                 failures.append(f"{rs.algebra}: the rules and folding differ at {v}")
     return failures
 
@@ -92,20 +100,25 @@ def test_a_threshold_above_the_clip_fails_the_certificate(monkeypatch):
 def test_a_changed_class_term_fails_the_certificate():
     rs = RootSystem(build("C3").algebra)
     v = (1, 0, 2, 1)
-    offsets, times, rest = oracle._sorted_weights(rs, v)
-    oracle._adjoint_weights(rs)[2][v] = offsets, times[:-1] + (times[-1] + 1,), rest
+    offsets, times = oracle._sorted_weights(rs, v)
+    oracle._adjoint_weights(rs)[2][v] = offsets, times[:-1] + (times[-1] + 1,)
     assert certify(rs) == ["C3: the rules and folding differ at (1, 0, 2, 1)"]
 
 
 def test_a_class_with_a_rest_fails_the_certificate():
-    # a planted rest record on a wall folds to nothing: the fusion still
-    # agrees, but the class no longer reads the clipped labels alone
+    # a planted record beta^ = (-4; 4, -4) that one reflection does not settle:
+    # at v = (0, 3, 1), x^ = (-3, 8, -2) reflects in label 0 to y^ - 1 = (2, 4, -3),
+    # which needs a second reflection; the oracle refuses such a class where it
+    # is built, and the certificate reports it.  At every other box weight the
+    # record is refused too, or lies on a wall, so the two routes still agree
     rs = RootSystem(build("G2").algebra)
-    v = (0, 3, 1)
-    offsets, times, _ = oracle._sorted_weights(rs, v)
-    wall = (-1,) + (0,) * rs.rank, None, 1  # x^ = v^ + 1 + beta^ has x^_0 = 0
-    oracle._adjoint_weights(rs)[2][v] = offsets, times, (wall,)
-    assert certify(rs) == ["G2: the class of (0, 3, 1) needs the labels beyond the clip"]
+    weights, clip, classes, walls = oracle._adjoint_weights(rs)
+    planted = (-4, 4, -4), (4, -4), 1
+    rs.derived["adjoint_weights"] = weights + (planted,), clip, classes, walls
+    failures = certify(rs)
+    assert ("G2: the class of (0, 3, 1) is refused: G2: labels clipped to (0, 3, 1) leave (-4, 4, -4) "
+            "unsettled by one reflection") in failures
+    assert all(f.startswith("G2: the class of ") and " is refused: " in f for f in failures), failures
 
 
 def certify_per_root(rs: RootSystem) -> list[str]:
@@ -186,6 +199,96 @@ def test_a_changed_record_label_fails_the_per_root_certificate():
     rs.derived["adjoint_weights"] = weights[:n] + ((planted, beta, m),) + weights[n + 1:], clip, classes, walls
     assert certify_per_root(rs) == [f"E6: the rule row {adjoint_rules.rule_table(rs)[n][1]} of {beta} "
                                     f"is not max(0, -{planted})"]
+
+
+def certify_per_record(rs: RootSystem) -> list[str]:
+    """The per-record certificate's failures for one root system; empty when one reflection settles every
+    outside point of every clipped class, at every level, so the oracle refuses no class.
+
+    The argument.  Fix an adjoint record beta^ = (-(theta, beta); beta) and a clipped mu^ in
+    {0..c}^{r+1}, of any level, and let S be the labels where beta^ is negative.  Off S every label of
+    x^ = mu^ + 1 + beta^ is >= 1, so the labels of mu^ on S alone decide whether the point lies on a wall,
+    inside or outside, and, outside, its least label worst and the first node i that holds it, which is
+    in S.  One reflection gives y^ - 1 = mu^ + beta^ - worst alpha^_i, whose label j is mu^_j + beta^_j
+    - worst alpha^_i[j]: fixed by the labels on S for j in S, and mu^_j + beta^_j >= 0 off S unless j is
+    an affine neighbour of i.  Such a neighbour's label mu^_j is free in {0..c} and the label of y^ - 1
+    rises with it, so it is least at mu^_j = 0 and clipped at mu^_j = c: >= -1 at 0 and >= 0 at c make
+    it >= -1 everywhere and >= 0 where clipped.  The oracle refuses a class exactly when one of its
+    points has a label of y^ - 1 below -1 (a second reflection) or below 0 where mu^ is clipped (an
+    outcome beyond the clip).  So every record, every labelling of S from {0..c}, and each neighbour at
+    0 and at c decide every class of every level: the checks below.
+    """
+    weights, clip, _, walls = oracle._adjoint_weights(rs)
+    failures = []
+    for hat, _, _ in weights:
+        support = [i for i, b in enumerate(hat) if b < 0]
+        for labels in product(range(clip + 1), repeat=len(support)):
+            x = [m + 1 + hat[i] for m, i in zip(labels, support)]
+            worst = min(x, default=1)
+            if worst > 0 or 0 in x:
+                continue
+            node, fixed = support[x.index(worst)], dict(zip(support, labels))
+            for j, w in enumerate(walls[node]):
+                for m in (fixed[j],) if j in fixed else (0, clip) if w else ():
+                    y = m + hat[j] - worst * w
+                    if y < -1 or y < 0 and m == clip:
+                        failures.append(f"{rs.algebra}: the record {hat}, labelled {labels} at {tuple(support)}, "
+                                        f"reflects in node {node} to {y} at node {j}, label {m}")
+    return failures
+
+
+def test_one_reflection_settles_every_outside_point():
+    # built uncached, so the rank-20 roots are not kept
+    assert [f for algebra in algebras_up_to(20) for f in certify_per_record(RootSystem(algebra))] == []
+
+
+def _refused_classes(rs: RootSystem) -> list[tuple[int, ...]]:
+    """The clipped classes of the box {0..c}^{r+1}, at every level, that the oracle refuses as unsettled."""
+    refused = []
+    for v in product(range(oracle._adjoint_weights(rs)[1] + 1), repeat=rs.rank + 1):
+        try:
+            oracle._sorted_weights(rs, v)
+        except RuntimeError as exc:
+            if "unsettled by one reflection" in str(exc):
+                refused.append(v)
+    return refused
+
+
+def _plant(rs: RootSystem, weights=None, clip=None, walls=None) -> RootSystem:
+    """The root system with its oracle records, clip or walls replaced and its class store emptied."""
+    old_weights, old_clip, _, old_walls = oracle._adjoint_weights(rs)
+    rs.derived["adjoint_weights"] = (old_weights if weights is None else weights, old_clip if clip is None else clip,
+                                     {}, old_walls if walls is None else walls)
+    return rs
+
+
+def test_two_minus_two_labels_on_non_adjacent_nodes_fail_the_per_record_certificate():
+    # A3's affine nodes 0 and 2 are not adjacent: reflecting the record (-2; 2, -2, 2) at mu^_0 = mu^_2 = 0
+    # in node 0 leaves the -2 at node 2, which needs a second reflection: the classes the oracle refuses
+    rs = _plant(RootSystem(AlgebraId("A", 3)), weights=oracle._adjoint_weights(build("A3"))[0] + (
+        ((-2, 2, -2, 2), (2, -2, 2), 1),))
+    assert certify_per_record(rs) == ["A3: the record (-2, 2, -2, 2), labelled (0, 0) at (0, 2), reflects in node 0 "
+                                      "to -2 at node 2, label 0"]
+    assert _refused_classes(rs) == [v for v in product(range(3), repeat=4) if v[0] == v[2] == 0]
+
+
+def test_a_changed_wall_row_fails_the_per_record_certificate():
+    # B3's alpha^_3 = (0; 0, -1, 2) with its label 2 lowered to -2: reflecting the record (1; 1, 0, -2)
+    # at mu^_3 = 0 in node 3 then leaves -2 at node 2 where mu^_2 = 0: the classes the oracle refuses
+    walls = oracle._adjoint_weights(build("B3"))[3]
+    assert walls[3] == (0, 0, -1, 2)
+    rs = _plant(RootSystem(AlgebraId("B", 3)), walls=walls[:3] + ((0, 0, -2, 2),))
+    assert certify_per_record(rs) == ["B3: the record (1, 1, 0, -2), labelled (0,) at (3,), reflects in node 3 "
+                                      "to -2 at node 2, label 0"]
+    assert _refused_classes(rs) == [v for v in product(range(3), repeat=4) if v[2] == v[3] == 0]
+
+
+@pytest.mark.parametrize("name", ("B3", "C3", "F4", "G2"))
+def test_a_clip_of_zero_fails_the_per_record_certificate(name):
+    # with every label clipped at 0, a point of B, C, F4 or G2 that one reflection settles only above the
+    # clip is refused, and the per-record certificate and the oracle's classes agree on it
+    rs = _plant(RootSystem(parse_algebra(name)), clip=0)
+    assert certify_per_record(rs) != [] and _refused_classes(rs) == [(0,) * (rs.rank + 1)]
 
 
 def affine_comarks(algebra: AlgebraId) -> tuple[int, ...]:

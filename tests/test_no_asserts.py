@@ -125,3 +125,31 @@ def test_level_guard_raises_on_a_broken_root_system():
                               env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["B3: an affine simple root or adjoint weight has nonzero level", str(want)]
+
+
+_UNSETTLED = (
+    "from fusionkit import affinize, algebra, kac_walton_fusion, oracle\n"
+    "for record in ((-9, 0, 9), (-2, -3, 5)):\n"
+    "    rs = algebra.RootSystem(algebra.AlgebraId('A', 2))\n"
+    "    weights, clip, classes, walls = oracle._adjoint_weights(rs)\n"
+    "    rs.derived['adjoint_weights'] = weights + ((record, record[1:], 1),), clip, classes, walls\n"
+    "    try:\n"
+    "        kac_walton_fusion(rs, affinize(rs, (1, 1), 5))\n"
+    "    except RuntimeError as exc:\n"
+    "        print(exc, classes)\n"
+)
+
+
+def test_the_one_reflection_guard_raises_under_python_and_optimize():
+    # two records planted in a hand-built A2, read at mu^ = (3; 1, 1), k = 5, whose class is mu^ clipped
+    # at 2: (-9; 0, 9) puts x^ at (-5, 2, 11), two reflections from (2, 2)^ + 1, and (-2; -3, 5) at
+    # (2, -1, 7), one reflection from (0, 5)^ + 1 whose first reflection at the clipped labels is -1 at
+    # the clipped label 0 (kept at mu^_0 = 3, on a wall at 2).  Each class is refused where it is built
+    # and nothing is stored, under python and python -O
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _UNSETTLED], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"A2: labels clipped to (2, 1, 1) leave {record} unsettled by one reflection {{}}"
+            for record in ((-9, 0, 9), (-2, -3, 5))]

@@ -173,21 +173,10 @@ def test_rules_equal_oracle_spot(name, level):
     ([2, 3], (1, [3])),    # inside the shifted alcove
 ])
 def test_affine_fold_branches(x, want):
-    # affine labels of A1 at k = 3, so the labels sum to k + h^v = 5
-    sign, folded = oracle.affine_fold(build("A1"), x)
-    assert (sign, None if folded is None else list(folded[1:])) == want
-
-
-@pytest.mark.parametrize("x,error,message", [
-    ([1, 2], AlgebraMismatch, "B3 needs 3 labels, got 1"),
-    ([1, 2, 3, 4, 5], AlgebraMismatch, "B3 needs 3 labels, got 4"),
-    ([-1, 0, 0, 0], ValueError, "affine labels [-1, 0, 0, 0] have level sum -1, not > 0"),
-])
-def test_affine_fold_refuses_a_wrong_length_or_level(x, error, message):
-    # B3 folds r + 1 = 4 affine labels, at a level sum k + h^v > 0
-    with pytest.raises(error) as info:
-        oracle.affine_fold(build("B3"), x)
-    assert str(info.value) == message
+    # the reference fold, in finite coordinates with the affine wall apart, at
+    # the points x^ of A1 at k = 3, whose affine labels sum to k + h^v = 5
+    sign, folded = reference_fold(build("A1"), tuple(x[1:]), 3)
+    assert (sign, None if folded is None else list(folded)) == want
 
 
 def _identity_grid():
@@ -247,15 +236,14 @@ def _shared_offsets(rs):
 def test_sorting_classes_fold_as_claimed():
     # each class's net terms are the tuple fold of every adjoint weight,
     # summed at nu - mu with the reflection signs, zeros dropped: on labels far
-    # above the clip too, so the settled outcomes hold across the class; each
-    # point folds from x^ in affine labels as the tuple fold does, staying put
-    # inside and dropped on a wall; every offset is one of the root system's
-    # own beta tuples, every multiplicity a positive int at most the rank, and
-    # no input of the grid needs the labels beyond the clip
+    # above the clip too, so the settled outcomes hold across the class; a
+    # point inside folds to itself and one on a wall to nothing; every offset
+    # is one of the root system's own beta tuples, every multiplicity a
+    # positive int at most the rank
     checked, systems = 0, set()
     for rs, mu in _sorting_grid():
         weights, clip, _, _ = oracle._adjoint_weights(rs)
-        offsets, times, rest = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
+        offsets, times = oracle._sorted_weights(rs, tuple(min(m, clip) for m in mu.labels))
         if rs not in systems:
             assert sorted(beta for _, beta, times in weights for _ in range(times)) == sorted(adjoint_weight_system(rs))
             systems.add(rs)
@@ -264,17 +252,15 @@ def test_sorting_classes_fold_as_claimed():
             x = tuple(m + 1 + b for m, b in zip(mu.finite, beta))
             hat = [mu.level + rs.dual_coxeter - rs.theta_pairing(x), *x]
             sign, folded = reference_fold(rs, x, mu.level)
-            affine = oracle.affine_fold(rs, list(hat))
-            assert (affine[0], affine[1] and tuple(affine[1][1:])) == (sign, folded), (rs.algebra, mu, beta)
             if min(hat) >= 1:
-                assert affine == (1, hat), (rs.algebra, mu, beta)
+                assert (sign, folded) == (1, x), (rs.algebra, mu, beta)
             elif 0 in hat:
                 assert sign == 0, (rs.algebra, mu, beta)
             if sign:
                 offset = tuple(f - 1 - m for f, m in zip(folded, mu.finite))
                 want[offset] = want.get(offset, 0) + sign * multiplicity
         assert dict(zip(offsets, times)) == {nu: c for nu, c in want.items() if c}, (rs.algebra, mu)
-        assert len(offsets) == len(times) and rest == (), (rs.algebra, mu)
+        assert len(offsets) == len(times), (rs.algebra, mu)
         assert {id(off) for off in offsets} <= _shared_offsets(rs), (rs.algebra, mu)
         assert all(type(m) is int and 0 < m <= rs.rank for m in times), (rs.algebra, mu)
         checked += 1
@@ -282,35 +268,32 @@ def test_sorting_classes_fold_as_claimed():
 
 
 def test_affine_fold_matches_the_reference_point_by_point():
-    # every outside point folds in affine labels, from x^, to the sign and
-    # finite point of the finite-coordinate fold, and keeps the level sum
-    # k + h^v; its first reflection, at the first least label i, flips label i,
-    # keeps the level sum and folds to the same point at the opposite sign
+    # every outside point's first reflection, at the first least label i,
+    # flips label i, keeps the level sum k + h^v and settles the point: the
+    # reflected labels are all >= 0, and the reference fold of x gives the
+    # reflected point at sign -1 when they are all >= 1, nothing when one is 0
     e8 = build("E8")
     checked = kept = 0
     for rs, mu in [*_sorting_grid(), *((e8, mu) for mu in enumerate_level(e8, 4))]:
         walls = oracle._adjoint_weights(rs)[3]
         for (_, beta, _), x_hat in _outside_records(rs, mu):
-            sign, folded = oracle.affine_fold(rs, list(x_hat))
             want = reference_fold(rs, tuple(m + 1 + b for m, b in zip(mu.finite, beta)), mu.level)
-            assert (sign, folded and tuple(folded[1:])) == want, (rs.algebra, mu, beta)
             worst = min(x_hat)
             i = x_hat.index(worst)
             step = [a - worst * w for a, w in zip(x_hat, walls[i])]
             assert step[i] == -worst
             assert sum(map(mul, rs.affine_comarks, step)) == mu.level + rs.dual_coxeter
-            assert oracle.affine_fold(rs, step) == (-sign, folded), (rs.algebra, mu, beta)
-            if sign:
-                assert sum(map(mul, rs.affine_comarks, folded)) == mu.level + rs.dual_coxeter
-                kept += 1
+            assert min(step) >= 0, (rs.algebra, mu, beta)
+            assert want == ((-1, tuple(step[1:])) if min(step) else (0, None)), (rs.algebra, mu, beta)
+            kept += bool(want[0])
             checked += 1
     assert (checked, kept) == (8329, 7414)
 
 
 def test_sorting_cache_is_bounded_and_shares_the_records():
     # one entry per root system and clipped mu^, at most (c + 1)^(r + 1) of
-    # them, each a triple: the net offsets, drawn from the root system's own
-    # beta tuples, their multiplicities, and an empty rest; equal outcomes
+    # them, each a pair: the net offsets, drawn from the root system's own
+    # beta tuples, and their multiplicities; equal outcomes
     # merge, so the classes hold fewer terms than their non-wall points; the
     # root system keeps no other oracle slot.  For A, D and E the outside
     # points (theta at mu^_0 = 0, -alpha_i at mu^_i = 0) reflect once back to
@@ -327,8 +310,8 @@ def test_sorting_cache_is_bounded_and_shares_the_records():
         assert set(classes) == keys, rs.algebra
         shared, stored, points = _shared_offsets(rs), 0, 0
         for key in keys:
-            offsets, times, rest = sorted_class = oracle._sorted_weights(rs, key)
-            assert sorted_class is classes[key] and rest == ()
+            offsets, times = sorted_class = oracle._sorted_weights(rs, key)
+            assert sorted_class is classes[key]
             assert {id(off) for off in offsets} <= shared and len(times) == len(offsets)
             stored += len(offsets)
             hats = [[m + 1 + b for m, b in zip(key, hat)] for hat, _, _ in weights]
@@ -368,69 +351,6 @@ def test_oracle_reads_labels_only_through_the_clip(algebra):
         assert racah_speiser_tensor(rs, finite) == want, finite
         high += sum(m > clip for m in finite)
     assert high > 80
-
-
-def _counting_folds(monkeypatch):
-    """Record the points that `kac_walton_fusion` hands to `affine_fold`, one list per call."""
-    calls, fold = [], oracle.affine_fold
-    monkeypatch.setattr(oracle, "affine_fold", lambda rs, x: calls.append(list(x)) or fold(rs, x))
-    return calls
-
-
-def test_real_inputs_need_one_reflection(monkeypatch):
-    # every outside point of the identity grid and of E8 at k = 4 settles with
-    # one reflection, so no class keeps a rest and no fold runs
-    calls = _counting_folds(monkeypatch)
-    e8, fused = build("E8"), 0
-    for rs, mu in [*((rs, mu) for rs, level in _identity_grid() for mu in enumerate_level(rs, level)),
-                   *((e8, mu) for mu in enumerate_level(e8, 4))]:
-        kac_walton_fusion(rs, mu)
-        fused += 1
-    assert (fused, calls) == (2505 + len(list(enumerate_level(e8, 4))), [])
-
-
-def test_a_point_still_outside_after_one_reflection_folds_on(monkeypatch):
-    # plant records in the rest of one class of a hand-built A2 at k = 5:
-    # each is folded from its point x^ = mu^ + 1 + beta^ by affine_fold, adds
-    # the sign of its fold, times its multiplicity, at the folded weight, and
-    # a weight netting 0 is dropped; a fold that leaves a multiplicity below 0
-    # is refused
-    rs = RootSystem(build("A2").algebra)
-    mu = affinize(rs, (1, 1), 5)
-    base = kac_walton_fusion(rs, mu)
-    _, clip, classes, walls = oracle._adjoint_weights(rs)
-    key = tuple(min(m, clip) for m in mu.labels)
-    offsets, times, rest = classes[key]
-    assert rest == ()
-
-    def reflect(x, i):
-        return [a - x[i] * w for a, w in zip(x, walls[i])]
-
-    def record(x, multiplicity):
-        return tuple(a - 1 - m for a, m in zip(x, mu.labels)), None, multiplicity
-
-    planted = [(reflect([4, 2, 2], 1), 2),             # one reflection from mu^ + 1: sign -1, so -2 at (1, 1)
-               (reflect(reflect([2, 3, 3], 1), 0), 1),  # two from (2, 2)^ + 1: sign +1, so +1 at (2, 2)
-               (reflect([6, 2, 0], 1), 1)]              # one from a wall: folds to 0
-    points = [x for x, _ in planted]
-    assert all(min(x) < 0 and 0 not in x for x in points)
-    want = dict(base)
-    for x, multiplicity in planted:
-        sign, folded = oracle.affine_fold(rs, x)
-        if sign:
-            nu = tuple(f - 1 for f in folded[1:])
-            want[nu] = want.get(nu, 0) + sign * multiplicity
-    want = {nu: c for nu, c in want.items() if c}
-    assert want == {(0, 3): 1, (3, 0): 1, (0, 0): 1, (2, 2): 2}
-    classes[key] = offsets, times, tuple(record(x, multiplicity) for x, multiplicity in planted)
-    calls = _counting_folds(monkeypatch)
-    assert kac_walton_fusion(rs, mu) == want
-    assert calls == points
-    negative = reflect([1, 1, 6], 1)  # one reflection from (0, 5)^ + 1: -1 at (0, 5), where mu has none
-    classes[key] = offsets, times, (record(negative, 1),)
-    with pytest.raises(RuntimeError, match=r"^theta x \(5; 1,1\) folded to \(0, 5\) with multiplicity -1 at level 5$"):
-        kac_walton_fusion(rs, mu)
-    assert kac_walton_fusion(build("A2"), mu) == base
 
 
 def test_a_class_that_nets_below_zero_is_refused():

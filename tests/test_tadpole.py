@@ -4,7 +4,7 @@ import random
 import types
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,6 @@ from fusionkit import (
     adjoint_tadpole_polynomial,
     build,
     enumerate_level,
-    falling_power,
     zero_tadpole_enum,
     zero_tadpole_formula,
     zero_tadpole_polynomial,
@@ -29,6 +28,20 @@ from fusionkit import (
 from fusionkit.algebra import RootSystem, algebras_up_to
 from fusionkit.tables import check_b_table
 from fusionkit.tadpole import _binomial, _exact, _vacuum_counts
+
+
+def falling_power(x, m: int):
+    """x (x-1) ... (x-m+1), 1 for m = 0, ValueError for m < 0: the paper's falling factorial, which the
+    reference sums below and the identities of `test_acceptance.py` read; for an int x `math.perm`."""
+    if m < 0:
+        raise ValueError(f"falling_power needs m >= 0, got {m}")
+    if isinstance(x, int):
+        return perm(x, m) if x >= 0 else (-1) ** m * perm(m - 1 - x, m)
+    out = 1
+    for j in range(m):
+        out = out * (x - j)
+    return out
+
 
 # Frozen reference sequences for E6 (levels 0..19), from direct enumeration.
 E6_ZERO = (1, 3, 9, 20, 42, 78, 139, 231, 372, 573, 861, 1254, 1791, 2499,
